@@ -16,7 +16,10 @@
 #      and one full-span window must equal the batch run (windowed
 #      consistency); see tests/core/test_parity_gate.py -- including
 #      the cache-transparency legs (cached, warm, post-corruption runs
-#      must hash identically to the uncached goldens)
+#      must hash identically to the uncached goldens).  The encoder
+#      oracle (tests/core/test_serialize.py: the compiled canonical
+#      encoder against the original walker on generated values) and
+#      the committed goldens together are the byte contract
 #   5. parse-cache warm-run smoke: focused re-run of the delta-only
 #      ingest properties (warm run parses zero files, changed dirs
 #      parse only the delta); tests/logs/test_parallel.py
@@ -57,6 +60,8 @@ echo "== streaming smoke (pytest -m streaming) =="
 python -m pytest tests/stream -m streaming -q
 
 echo "== parity + windowed-consistency gate (pytest -m parity) =="
+# the byte contract: the encoder oracle and the committed goldens
+python -m pytest tests/core/test_serialize.py -q
 python -m pytest tests/core/test_parity_gate.py -m parity -q
 
 echo "== parse-cache warm-run smoke (zero files re-parsed) =="

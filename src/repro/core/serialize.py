@@ -5,29 +5,76 @@ consistency check compare whole :class:`~repro.core.pipeline.DiagnosisReport`
 objects by *bytes*: two reports are equal iff their canonical JSON is
 identical.  Canonical means:
 
-* dataclasses become ``{field: value}`` objects in field order, then the
-  JSON encoder sorts keys -- so equality is insensitive to field order;
+* dataclasses become ``{field: value}`` objects with sorted keys, so
+  equality is insensitive to field order; a field marked
+  ``metadata={"omit_empty": True}`` is left out while it holds a falsy
+  value;
 * enums collapse to their ``.value``;
 * numpy scalars/arrays collapse to the matching Python scalars/lists
-  (``float`` repr round-trips, so byte-comparison is exact);
-* dict keys are stringified (enum keys via ``.value``) and sorted.
+  (``float`` repr round-trips, so byte-comparison is exact); NaN and
+  the infinities become the strings ``"__nan__"``, ``"__inf__"`` and
+  ``"__-inf__"``;
+* dict keys are stringified (enum keys via ``.value``) and sorted; when
+  two keys stringify alike the later value wins;
+* sets become lists sorted by each item's ``json.dumps(..., sort_keys=True)``;
+* the text is compact (``","``/``":"``) and ASCII-only.
 
-Anything this module cannot encode raises ``TypeError`` loudly instead of
-guessing -- a new report field must be taught here before the parity gate
-can vouch for it.
+How it is encoded
+-----------------
+One **dispatch table** maps each concrete type to its handler.  The
+handler is resolved once per type, on first sight, by the precedence
+of :func:`_kind`: ``None``; ``str``/``bool``; ``int``/``np.integer``;
+``float``/``np.floating``; ``Enum``; dataclass instance; ``dict``;
+``ndarray``; list/tuple/set.  A type that matches none of them raises
+``TypeError`` -- so does a dataclass *class* and ``np.bool_`` -- so a new
+report field type must be taught to :func:`_kind` before the parity
+gate can vouch for it; it never falls back to a guess.
+
+Each dataclass gets a **plan**, computed once per class: its field
+names, the JSON-quoted ``"name":`` keys in sorted order, ``attrgetter``
+calls that fetch every value at once, and the ``omit_empty`` flags.
+Each enum member is encoded once.
+
+:func:`canonical_json` writes text directly: strings through the C
+``json.encoder.encode_basestring_ascii``, floats through
+``float.__repr__``.  A per-call **memo** maps ``id(instance)`` to the
+encoded text of every dataclass instance seen, so an instance reached
+twice -- each ``RootCauseInference.failure`` is a ``DetectedFailure``
+that ``report.failures`` already holds -- is encoded once and spliced
+twice.  The memo holds a reference to each instance, so no id is reused
+within the call, and it is dropped when the call returns.
+
+:func:`to_jsonable` shares the dispatch and the plans but not the memo:
+it returns a fresh tree with no shared subtrees, because callers patch
+and read it.  Its dataclass objects keep field order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from enum import Enum
-from typing import Any
+from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 __all__ = ["to_jsonable", "canonical_json", "report_digest"]
+
+#: concrete type -> text handler of a leaf (no nested values): obj -> str
+_LEAF_TEXT: dict[type, Callable[[Any], str]] = {}
+#: concrete type -> text handler of a container: (obj, memo) -> str
+_NODE_TEXT: dict[type, Callable[[Any, dict], str]] = {}
+#: concrete type -> plain-data handler: obj -> fresh JSON-able value
+_TREE: dict[type, Callable[[Any], Any]] = {}
+
+_leaf_text = _LEAF_TEXT.get
+_node_text = _NODE_TEXT.get
+_tree = _TREE.get
+
+_FLOAT_TAGS = {"nan": '"__nan__"', "inf": '"__inf__"', "-inf": '"__-inf__"'}
+_BOOL_TEXT = {True: "true", False: "false"}
 
 
 def _key(key: Any) -> str:
@@ -47,46 +94,263 @@ def _key(key: Any) -> str:
     raise TypeError(f"unencodable dict key {key!r} ({type(key).__name__})")
 
 
+def _kind(cls: type) -> Optional[str]:
+    """The encoding rule of a concrete type; None when it has none."""
+    if cls is type(None):
+        return "none"
+    if issubclass(cls, str):
+        return "str"
+    if issubclass(cls, bool):
+        return "bool"
+    if issubclass(cls, (int, np.integer)):
+        return "int"
+    if issubclass(cls, (float, np.floating)):
+        return "float"
+    if issubclass(cls, Enum):
+        return "enum"
+    if hasattr(cls, "__dataclass_fields__") and not issubclass(cls, type):
+        return "dataclass"
+    if issubclass(cls, dict):
+        return "dict"
+    if issubclass(cls, np.ndarray):
+        return "ndarray"
+    if issubclass(cls, (set, frozenset)):
+        return "set"
+    if issubclass(cls, (list, tuple)):
+        return "seq"
+    return None
+
+
+class _Plan:
+    """How one dataclass is encoded, computed once per class.
+
+    Each order gets one ``attrgetter`` that fetches every value in a
+    single call: declaration order for the tree, sorted-name order for
+    the text (whose keys come pre-quoted).  ``omit``/``omit_sorted`` are
+    the ``omit_empty`` flags in those orders, None when no field has one.
+    """
+
+    __slots__ = ("names", "get", "omit", "keys", "get_sorted",
+                 "omit_sorted")
+
+    def __init__(self, cls: type) -> None:
+        fields = dataclasses.fields(cls)
+        flags = {f.name: bool(f.metadata.get("omit_empty")) for f in fields}
+        self.names = tuple(flags)
+        ranked = sorted(flags)
+        self.keys = tuple(_quote(name) + ":" for name in ranked)
+        self.get = _getter(self.names)
+        self.get_sorted = _getter(ranked)
+        has_omit = any(flags.values())
+        self.omit = tuple(flags.values()) if has_omit else None
+        self.omit_sorted = (tuple(flags[name] for name in ranked)
+                            if has_omit else None)
+
+
+def _getter(names) -> Callable[[Any], tuple]:
+    """One call returning the named attributes as a tuple."""
+    if len(names) == 1:
+        fetch = attrgetter(names[0])
+        return lambda obj: (fetch(obj),)
+    return attrgetter(*names) if names else (lambda obj: ())
+
+
+def _learn(cls: type) -> bool:
+    """Resolve and install the handlers of ``cls``; False if unencodable.
+
+    Threads that meet a new type together may both install it: the
+    handlers are pure functions of the type, so the last write is as
+    good as the first.
+    """
+    kind = _kind(cls)
+    if kind is None:
+        return False
+    text, tree = _HANDLERS[kind](cls)
+    if kind in _LEAF_KINDS:
+        _LEAF_TEXT[cls] = text
+    else:
+        _NODE_TEXT[cls] = text
+    _TREE[cls] = tree
+    return True
+
+
+def _unencodable(obj: Any) -> TypeError:
+    return TypeError(
+        f"unencodable object {obj!r} ({type(obj).__name__})")
+
+
+# ---------------------------------------------------------------------------
+# leaves
+# ---------------------------------------------------------------------------
+def _same(obj: Any) -> Any:
+    return obj
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_TAGS.get(text, text)
+
+
+def _float_tree(value: Any) -> Any:
+    value = float(value)
+    if value != value:  # NaN: JSON has no spelling, tag it
+        return "__nan__"
+    if value in (float("inf"), float("-inf")):
+        return "__inf__" if value > 0 else "__-inf__"
+    return value
+
+
+def _int_leaf(cls: type):
+    if cls is int:
+        return int.__repr__, _same
+    return (lambda obj: int.__repr__(int(obj))), int
+
+
+def _float_leaf(cls: type):
+    if cls is float:
+        return _float_text, _float_tree
+    return (lambda obj: _float_text(float(obj))), _float_tree
+
+
+def _enum_leaf(cls: type):
+    texts: dict[int, tuple] = {}
+
+    def text(member: Enum) -> str:
+        # the member rides along so its id stays unique while cached
+        hit = texts.get(id(member))
+        if hit is None:
+            hit = texts[id(member)] = (member, canonical_json(member.value))
+        return hit[1]
+
+    return text, lambda member: to_jsonable(member.value)
+
+
+# ---------------------------------------------------------------------------
+# containers
+# ---------------------------------------------------------------------------
+def _text(obj: Any, memo: dict) -> str:
+    """The canonical text of any value (generic dispatch)."""
+    cls = type(obj)
+    leaf = _leaf_text(cls)
+    if leaf is not None:
+        return leaf(obj)
+    node = _node_text(cls)
+    if node is not None:
+        return node(obj, memo)
+    if not _learn(cls):
+        raise _unencodable(obj)
+    return _text(obj, memo)
+
+
+def _dataclass_text(plan: _Plan) -> Callable[[Any, dict], str]:
+    get, keys, omit = plan.get_sorted, plan.keys, plan.omit_sorted
+
+    def text(obj: Any, memo: dict) -> str:
+        hit = memo.get(id(obj))
+        if hit is not None:
+            return hit[1]
+        pairs = zip(keys, get(obj))
+        if omit is not None:
+            pairs = [pair for pair, skip in zip(pairs, omit)
+                     if not (skip and not pair[1])]
+        encoded = "{" + ",".join([
+            key + (leaf(value) if (leaf := _leaf_text(type(value)))
+                   is not None else _text(value, memo))
+            for key, value in pairs]) + "}"
+        # the instance rides along so its id stays unique for the call
+        memo[id(obj)] = (obj, encoded)
+        return encoded
+
+    return text
+
+
+def _dict_text(obj: dict, memo: dict) -> str:
+    fields = {}
+    for key, value in obj.items():
+        leaf = _leaf_text(type(value))
+        fields[key if type(key) is str else _key(key)] = (
+            leaf(value) if leaf is not None else _text(value, memo))
+    return "{" + ",".join([_quote(key) + ":" + fields[key]
+                           for key in sorted(fields)]) + "}"
+
+
+def _seq_text(obj: Any, memo: dict) -> str:
+    return "[" + ",".join([
+        leaf(item) if (leaf := _leaf_text(type(item))) is not None
+        else _text(item, memo) for item in obj]) + "]"
+
+
+def _set_text(obj: Any, memo: dict) -> str:
+    # sorting by the canonical text orders items exactly as sorting by
+    # ``json.dumps(item, sort_keys=True)``: that spelling only adds a
+    # space after each structural "," and ":", and two texts first
+    # differ at the same character either way
+    return "[" + ",".join(sorted([_text(item, memo) for item in obj])) + "]"
+
+
+def _dataclass_tree(plan: _Plan) -> Callable[[Any], dict]:
+    names, get, omit = plan.names, plan.get, plan.omit
+
+    def tree(obj: Any) -> dict:
+        out = {}
+        for i, value in enumerate(get(obj)):
+            if omit is not None and omit[i] and not value:
+                continue
+            out[names[i]] = to_jsonable(value)
+        return out
+
+    return tree
+
+
+def _dict_tree(obj: dict) -> dict:
+    return {_key(key): to_jsonable(value) for key, value in obj.items()}
+
+
+def _seq_tree(obj: Any) -> list:
+    return [to_jsonable(item) for item in obj]
+
+
+def _set_tree(obj: Any) -> list:
+    return sorted([to_jsonable(item) for item in obj], key=canonical_json)
+
+
+def _dataclass_handlers(cls: type):
+    plan = _Plan(cls)
+    return _dataclass_text(plan), _dataclass_tree(plan)
+
+
+#: kind -> (text handler, tree handler), given the concrete type
+_HANDLERS = {
+    "none": lambda cls: ((lambda obj: "null"), _same),
+    "str": lambda cls: (_quote, _same),
+    "bool": lambda cls: (_BOOL_TEXT.__getitem__, _same),
+    "int": _int_leaf,
+    "float": _float_leaf,
+    "enum": _enum_leaf,
+    "dataclass": _dataclass_handlers,
+    "dict": lambda cls: (_dict_text, _dict_tree),
+    "ndarray": lambda cls: ((lambda obj, memo: _seq_text(obj.tolist(), memo)),
+                            (lambda obj: _seq_tree(obj.tolist()))),
+    "seq": lambda cls: (_seq_text, _seq_tree),
+    "set": lambda cls: (_set_text, _set_tree),
+}
+#: kinds whose text handler takes no memo (no nested values)
+_LEAF_KINDS = frozenset({"none", "str", "bool", "int", "float", "enum"})
+
+
 def to_jsonable(obj: Any) -> Any:
-    """Recursively convert ``obj`` into plain JSON-encodable data."""
-    if obj is None or isinstance(obj, (str, bool)):
-        return obj
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if value != value:  # NaN: JSON has no spelling, tag it
-            return "__nan__"
-        if value in (float("inf"), float("-inf")):
-            return "__inf__" if value > 0 else "__-inf__"
-        return value
-    if isinstance(obj, Enum):
-        return to_jsonable(obj.value)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        # a field marked metadata={"omit_empty": True} disappears from
-        # the canonical form while it holds a falsy value: report fields
-        # added after the parity goldens were captured stay byte-
-        # invisible until something actually populates them
-        return {f.name: to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)
-                if not (f.metadata.get("omit_empty")
-                        and not getattr(obj, f.name))}
-    if isinstance(obj, dict):
-        return {_key(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = [to_jsonable(x) for x in obj]
-        if isinstance(obj, (set, frozenset)):  # canonical order
-            items.sort(key=lambda x: json.dumps(x, sort_keys=True))
-        return items
-    raise TypeError(f"unencodable object {obj!r} ({type(obj).__name__})")
+    """``obj`` as fresh plain JSON-encodable data (no shared subtrees)."""
+    handler = _tree(type(obj))
+    if handler is None:
+        if not _learn(type(obj)):
+            raise _unencodable(obj)
+        handler = _TREE[type(obj)]
+    return handler(obj)
 
 
 def canonical_json(obj: Any) -> str:
     """The canonical JSON text of any report-shaped object."""
-    return json.dumps(to_jsonable(obj), sort_keys=True,
-                      separators=(",", ":"), allow_nan=False)
+    return _text(obj, {})
 
 
 def report_digest(obj: Any) -> str:

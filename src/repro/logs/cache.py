@@ -49,7 +49,9 @@ two processes populating one cache directory race benignly (last
 writer wins with identical bytes).
 
 Observability: ``cache.hit`` / ``cache.miss`` / ``cache.invalidate`` /
-``cache.store`` counters and a ``cache.load`` span per hit.
+``cache.store`` counters and a ``cache.load`` span per entry load that
+times the read, checksum and decode (a rotted entry's span carries an
+``error`` tag).
 """
 
 from __future__ import annotations
@@ -273,15 +275,27 @@ class ParseCache:
         """Load and validate one entry; evict and return None on rot."""
         if not entry_path.is_file():
             return None
-        try:
-            payload = read_checksummed_blob(entry_path, CACHE_MAGIC)
-            entry = pickle.loads(payload)
-            if (not isinstance(entry, dict) or "columns" not in entry
-                    or "health" not in entry or "malformed" not in entry):
-                raise BlobIntegrityError(
-                    f"cache entry {entry_path} has an alien payload shape")
-        except (BlobIntegrityError, pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError, IndexError) as exc:
+        # the span times the read, checksum and decode of the entry; a
+        # rotted entry closes it with an ``error`` tag
+        with OBS.span("cache.load", "cache", file=path.name) as span:
+            try:
+                payload = read_checksummed_blob(entry_path, CACHE_MAGIC)
+                entry = pickle.loads(payload)
+                if (not isinstance(entry, dict) or "columns" not in entry
+                        or "health" not in entry
+                        or "malformed" not in entry):
+                    raise BlobIntegrityError(
+                        f"cache entry {entry_path} has an alien payload "
+                        "shape")
+            except (BlobIntegrityError, pickle.UnpicklingError, EOFError,
+                    AttributeError, ImportError, IndexError) as exc:
+                span.tag(error=type(exc).__name__)
+                entry = None
+            else:
+                span.add(records=len(entry["columns"][0]),
+                         bytes=entry_path.stat().st_size
+                         if entry_path.is_file() else 0)
+        if entry is None:
             # self-heal: a rotted entry is "no entry", never a crash --
             # evict it so the re-parse below rewrites a healthy one
             self.invalidated += 1
@@ -291,15 +305,10 @@ class ParseCache:
                 entry_path.unlink()
             except OSError:
                 pass
-            del exc
             return None
         self.hits += 1
         if OBS.enabled:
             OBS.metrics.counter("cache.hit").inc()
-            with OBS.span("cache.load", "cache", file=path.name) as span:
-                span.add(records=len(entry["columns"][0]),
-                         bytes=entry_path.stat().st_size
-                         if entry_path.is_file() else 0)
         return entry
 
     def _store_entry(self, entry_path: Path, entry: dict) -> None:

@@ -474,18 +474,19 @@ class LogStore:
 
         Public API: the parallel reader and the corruption injector use
         it to enumerate the physical files of a source family.  Rotated
-        names sort chronologically (``console-20150105.log`` ...), and a
-        gzipped segment sorts exactly where its plain twin would, so
-        file order is time order within a source.
+        segments come first, sorted chronologically by name
+        (``console-20150105.log`` ...; a gzipped segment sorts exactly
+        where its plain twin would), then the live base file and its
+        ``.gz`` twin, which hold the newest lines -- so file order is
+        time order within a source.
         """
         base = self.root / _SOURCE_PATHS[source]
-        files = []
+        rotated = list(base.parent.glob(f"{base.stem}-*.log"))
+        rotated.extend(base.parent.glob(f"{base.stem}-*.log.gz"))
+        files = sorted(rotated, key=lambda p: p.name.removesuffix(".gz"))
         for candidate in (base, base.with_name(base.name + ".gz")):
             if candidate.is_file():
                 files.append(candidate)
-        rotated = list(base.parent.glob(f"{base.stem}-*.log"))
-        rotated.extend(base.parent.glob(f"{base.stem}-*.log.gz"))
-        files.extend(sorted(rotated, key=lambda p: p.name.removesuffix(".gz")))
         return files
 
     def _source_files(self, source: LogSource) -> list[Path]:

@@ -7,8 +7,9 @@ import json
 import pytest
 
 from repro.core.serialize import report_digest
-from repro.logs.record import LogSource
-from repro.simul.clock import DAY
+from repro.logs.record import LogRecord, LogSource
+from repro.logs.store import LogStore
+from repro.simul.clock import DAY, SimClock
 from repro.stream.checkpoint import CheckpointError
 from repro.stream.daemon import (
     WatchConfig,
@@ -17,7 +18,7 @@ from repro.stream.daemon import (
 )
 from repro.stream.replay import ReplayWriter
 
-from .conftest import drive_daemon
+from .conftest import drive_daemon, small_bus
 
 FAULTS = {
     5: lambda w: w.rotate(LogSource.CONSOLE),
@@ -56,6 +57,60 @@ class TestParity:
                                                 tmp_path):
         writer, out, make = make_setup(small_store, tmp_path)
         report = drive_daemon(writer, make(), faults=FAULTS)
+        assert report.digest == report_digest(
+            streamed_batch_equivalent(writer.store, 1))
+
+
+@pytest.fixture
+def jobs_store(tmp_path) -> LogStore:
+    """:func:`small_bus` plus one started and completed job a day."""
+    bus = small_bus()
+    for day in range(3):
+        t0 = day * DAY
+        bus.emit(LogRecord(t0 + 8100.0, LogSource.SCHEDULER, "sdb",
+                           "slurm_start",
+                           {"job": day, "nodes": "c0-0c0s0n0", "cpus": 32,
+                            "user": "u1", "app": "a.out"}))
+        bus.emit(LogRecord(t0 + 9900.0, LogSource.SCHEDULER, "sdb",
+                           "slurm_complete", {"job": day, "code": 0}))
+    store = LogStore(tmp_path / "complete")
+    store.write(bus, SimClock(), system="TT", seed=1,
+                duration_seconds=3 * DAY)
+    return store
+
+
+class TestRotatedSegmentOrder:
+    """A rotated segment is older than the live base file it left behind:
+    batch reads must list it first, so the concatenated scheduler stream
+    is time-sorted and the batch side matches the streamed one with no
+    rotation of the non-empty live files before finalize."""
+
+    @pytest.mark.parametrize("gzip", [False, True])
+    def test_scheduler_stream_is_time_sorted(self, jobs_store, tmp_path,
+                                             gzip):
+        def rotate(w):
+            rotated = w.rotate(LogSource.SCHEDULER)
+            if gzip:
+                w.gzip_rotated(LogSource.SCHEDULER, rotated)
+
+        writer, out, make = make_setup(jobs_store, tmp_path)
+        drive_daemon(writer, make(), faults={12: rotate})
+        store = writer.store
+        files = store.source_files(LogSource.SCHEDULER)
+        assert len(files) == 2 and files[-1] == store.path_for(
+            LogSource.SCHEDULER)
+        assert files[-1].stat().st_size > 0  # the live base holds lines
+        times = [r.time for r in store.read_scheduler()]
+        assert len(times) == 9 and times == sorted(times)
+
+    def test_streamed_equals_batch_with_live_tails(self, jobs_store,
+                                                   tmp_path):
+        writer, out, make = make_setup(jobs_store, tmp_path)
+        faults = {12: lambda w: w.rotate(LogSource.SCHEDULER),
+                  15: lambda w: w.rotate(LogSource.CONSOLE)}
+        report = drive_daemon(writer, make(), faults=faults)
+        assert all(writer.store.path_for(s).stat().st_size
+                   for s in (LogSource.SCHEDULER, LogSource.CONSOLE))
         assert report.digest == report_digest(
             streamed_batch_equivalent(writer.store, 1))
 
