@@ -22,7 +22,9 @@
 #      the committed goldens together are the byte contract
 #   5. parse-cache warm-run smoke: focused re-run of the delta-only
 #      ingest properties (warm run parses zero files, changed dirs
-#      parse only the delta); tests/logs/test_parallel.py
+#      parse only the delta); tests/logs/test_parallel.py, plus the
+#      entry-validation regressions (tests/logs/test_cache.py) and the
+#      collector-pause contract (tests/core/test_gc_pause.py)
 #   6. BG/Q dialect smoke: the bgq-ras platform catalog end-to-end
 #      (scenario -> store -> cached ingest -> report) plus dialect
 #      sniffing and per-catalog cache isolation
@@ -70,6 +72,11 @@ echo "== parse-cache warm-run smoke (zero files re-parsed) =="
 # file from cache (no parses, no pool fork) and a changed directory
 # must parse only the delta
 python -m pytest tests/logs/test_parallel.py::TestDeltaOnlyIngest -q
+# every reader judges an entry alike (lookup self-heals what stats and
+# verify call invalid), and the warm path runs without collector passes
+# (the GC pause around ingest, build and analyses; its restore contract)
+python -m pytest tests/logs/test_cache.py::TestEntryValidation \
+    tests/core/test_gc_pause.py -q
 
 echo "== BG/Q dialect smoke (second catalog through the same pipeline) =="
 # the pluggable-catalog gate: the bgq-ras scenario must ingest, cache,

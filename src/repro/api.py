@@ -38,6 +38,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from repro.core.gcpause import paused_gc
 from repro.core.pipeline import (
     DiagnosisReport,
     DiagnosisWindow,
@@ -319,7 +320,7 @@ def diagnose(
         only = request.only
         cache = request.cache
         platform = request.platform
-    with _maybe_session(obs):
+    with _maybe_session(obs), paused_gc():
         return load_system(logdir, error_policy=error_policy,
                            cache=cache, platform=platform).run(only=only)
 
@@ -366,7 +367,7 @@ def diagnose_windowed(
         raise TypeError(
             "diagnose_windowed() needs window_days -- as a keyword or on "
             "the DiagnoseRequest")
-    with _maybe_session(obs):
+    with _maybe_session(obs), paused_gc():
         diag = load_system(logdir, error_policy=error_policy, cache=cache,
                            platform=platform)
         return list(diag.run_windowed(window_days, stride_days=stride_days,

@@ -36,6 +36,8 @@ __all__ = [
     "write_checksummed_blob",
     "read_checksummed_blob",
     "BlobIntegrityError",
+    "BlobMissingError",
+    "blob_footer_len",
 ]
 
 
@@ -95,6 +97,12 @@ class BlobIntegrityError(RuntimeError):
     """
 
 
+class BlobMissingError(BlobIntegrityError):
+    """The blob does not exist at all (a subclass, so callers that treat
+    every bad blob alike need not care; the parse cache tells a plain
+    miss from a rotted entry by it)."""
+
+
 #: footer layout shared by every checksummed blob: magic + 64 hex + \n
 _DIGEST_LEN = 64
 
@@ -117,17 +125,26 @@ def write_checksummed_blob(path: Path | str, payload: bytes,
     return digest
 
 
+def blob_footer_len(magic: bytes) -> int:
+    """Bytes a checksummed blob adds after its payload."""
+    return len(magic) + _DIGEST_LEN + 1
+
+
 def read_checksummed_blob(path: Path | str, magic: bytes) -> bytes:
     """Validate and return the payload of a checksummed blob.
 
     Raises :class:`BlobIntegrityError` for every way the file can be
-    wrong: missing, shorter than its footer, wrong magic, or a digest
-    mismatch.  The caller decides the remedy (rebuild, evict, degrade).
+    wrong: missing (as its :class:`BlobMissingError` subclass), shorter
+    than its footer, wrong magic, or a digest mismatch.  The caller
+    decides the remedy (rebuild, evict, degrade).
     """
     path = Path(path)
-    footer_len = len(magic) + _DIGEST_LEN + 1
+    footer_len = blob_footer_len(magic)
     try:
         raw = path.read_bytes()
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise BlobMissingError(
+            f"unreadable blob {path}: {exc}") from None
     except OSError as exc:
         raise BlobIntegrityError(
             f"unreadable blob {path}: {exc}") from None

@@ -42,6 +42,7 @@ from repro.core.errors import DailyErrorPopulation
 from repro.core.external import CorrespondenceStats, ExternalIndex, NhfBreakdown
 from repro.core.failure_detection import DetectedFailure, FailureDetector
 from repro.core.falsepos import FprComparison
+from repro.core.gcpause import paused_gc
 from repro.core.index import RecordIndex, failure_times_by_node
 from repro.core.jobs import JobView, parse_jobs
 from repro.core.leadtime import LeadTimeRecord, LeadTimeSummary
@@ -222,7 +223,9 @@ class HolisticDiagnosis:
             for source in ingestion_health.missing_sources():
                 if source not in self.missing_sources:
                     self.missing_sources.append(source)
-        with OBS.span("pipeline.build", "pipeline") as span:
+        # bulk allocation of index, detection and job objects: no cyclic
+        # collection until the pipeline is built (see core/gcpause.py)
+        with paused_gc(), OBS.span("pipeline.build", "pipeline") as span:
             # the shared record index: every stream bucketed once,
             # queried by all downstream analyses
             self.records: RecordIndex = RecordIndex.build(
@@ -321,18 +324,22 @@ class HolisticDiagnosis:
                 pass
         missing = [s for s in LogSource if not store.source_files(s)]
         kwargs.setdefault("platform", store.catalog.name)
-        with OBS.span("pipeline.ingest", "ingest", policy=policy.value):
-            internal = store.read_internal(clock, policy, health)
-            external = store.read_external(clock, policy, health)
-            scheduler = store.read_scheduler(clock, policy, health)
-        return cls(
-            internal=internal,
-            external=external,
-            scheduler=scheduler,
-            missing_sources=missing,
-            ingestion_health=health,
-            **kwargs,
-        )
+        # ingest (cache decode or parse, k-way merges) and the build run
+        # in one collector pause: a gap between them would let the next
+        # collection walk every freshly ingested record
+        with paused_gc():
+            with OBS.span("pipeline.ingest", "ingest", policy=policy.value):
+                internal = store.read_internal(clock, policy, health)
+                external = store.read_external(clock, policy, health)
+                scheduler = store.read_scheduler(clock, policy, health)
+            return cls(
+                internal=internal,
+                external=external,
+                scheduler=scheduler,
+                missing_sources=missing,
+                ingestion_health=health,
+                **kwargs,
+            )
 
     # ------------------------------------------------------------------
     @property
@@ -434,7 +441,7 @@ class HolisticDiagnosis:
         """
         if only is not None:
             only = list(only)
-        with OBS.span("pipeline.run", "pipeline") as span:
+        with paused_gc(), OBS.span("pipeline.run", "pipeline") as span:
             skipped, reasons = self.degradation()
             excluded = REGISTRY.platform_excluded(self.platform)
             selected = (REGISTRY.names() if only is None

@@ -49,9 +49,12 @@ two processes populating one cache directory race benignly (last
 writer wins with identical bytes).
 
 Observability: ``cache.hit`` / ``cache.miss`` / ``cache.invalidate`` /
-``cache.store`` counters and a ``cache.load`` span per entry load that
+``cache.store`` counters and a ``cache.load`` span per entry probe that
 times the read, checksum and decode (a rotted entry's span carries an
-``error`` tag).
+``error`` tag, an absent entry's a ``miss`` tag).  Every reader --
+lookup, ``stats``, ``verify`` -- validates an entry through the one
+:func:`_decode_entry`, so they never disagree about which entries are
+sound.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ from typing import Optional
 
 from repro.core.artifacts import (
     BlobIntegrityError,
+    BlobMissingError,
+    blob_footer_len,
     read_checksummed_blob,
     write_checksummed_blob,
 )
@@ -272,29 +277,26 @@ class ParseCache:
     # entry I/O
     # ------------------------------------------------------------------
     def _load_entry(self, entry_path: Path, path: Path) -> Optional[dict]:
-        """Load and validate one entry; evict and return None on rot."""
-        if not entry_path.is_file():
-            return None
+        """Load and validate one entry; evict and return None on rot.
+
+        A missing entry is a plain miss: no invalidation, no eviction.
+        """
         # the span times the read, checksum and decode of the entry; a
-        # rotted entry closes it with an ``error`` tag
+        # rotted entry closes it with an ``error`` tag, a missing one
+        # with ``miss``
         with OBS.span("cache.load", "cache", file=path.name) as span:
             try:
                 payload = read_checksummed_blob(entry_path, CACHE_MAGIC)
-                entry = pickle.loads(payload)
-                if (not isinstance(entry, dict) or "columns" not in entry
-                        or "health" not in entry
-                        or "malformed" not in entry):
-                    raise BlobIntegrityError(
-                        f"cache entry {entry_path} has an alien payload "
-                        "shape")
-            except (BlobIntegrityError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError, IndexError) as exc:
+                entry = _decode_entry(payload)
+            except BlobMissingError:
+                span.tag(miss=True)
+                return None
+            except _ENTRY_ERRORS as exc:
                 span.tag(error=type(exc).__name__)
                 entry = None
             else:
                 span.add(records=len(entry["columns"][0]),
-                         bytes=entry_path.stat().st_size
-                         if entry_path.is_file() else 0)
+                         bytes=len(payload) + _FOOTER_LEN)
         if entry is None:
             # self-heal: a rotted entry is "no entry", never a crash --
             # evict it so the re-parse below rewrites a healthy one
@@ -382,10 +384,8 @@ class ParseCache:
             stats.total_bytes += size
             if count_records:
                 try:
-                    payload = read_checksummed_blob(entry_path, CACHE_MAGIC)
-                    stats.records += len(pickle.loads(payload)["columns"][0])
-                except (BlobIntegrityError, pickle.UnpicklingError,
-                        EOFError, KeyError, IndexError, TypeError):
+                    stats.records += len(_read_entry(entry_path)["columns"][0])
+                except _ENTRY_ERRORS:
                     stats.invalid += 1
         return stats
 
@@ -411,15 +411,9 @@ class ParseCache:
         invalid: list[Path] = []
         for entry_path in self.entry_files():
             try:
-                payload = read_checksummed_blob(entry_path, CACHE_MAGIC)
-                entry = pickle.loads(payload)
-                if (not isinstance(entry, dict) or "columns" not in entry
-                        or "health" not in entry
-                        or "malformed" not in entry):
-                    raise BlobIntegrityError("alien payload shape")
+                _read_entry(entry_path)
                 valid += 1
-            except (BlobIntegrityError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError, IndexError):
+            except _ENTRY_ERRORS:
                 invalid.append(entry_path)
                 if heal:
                     try:
@@ -427,6 +421,47 @@ class ParseCache:
                     except OSError:
                         pass
         return valid, invalid
+
+
+#: what decoding a checksummed but foreign, stale or damaged payload
+#: raises: a failed checksum or shape check, a truncated or garbled
+#: pickle, a pickle naming a class or module that no longer exists
+_ENTRY_ERRORS = (BlobIntegrityError, pickle.UnpicklingError, EOFError,
+                 AttributeError, ImportError, IndexError, KeyError,
+                 TypeError, ValueError)
+
+_ENTRY_KEYS = frozenset(("columns", "health", "malformed"))
+
+#: one column per :class:`ParsedRecord` field (the pool wire format)
+_COLUMN_COUNT = len(ParsedRecord.__dataclass_fields__)
+
+_FOOTER_LEN = blob_footer_len(CACHE_MAGIC)
+
+
+def _decode_entry(payload: bytes) -> dict:
+    """Unpickle one entry payload and check its shape.
+
+    The single validation every reader shares (lookup, ``stats``,
+    ``verify``): a dict with ``columns``, ``health`` and ``malformed``,
+    whose ``columns`` are eight equal-length sequences.  Anything else
+    raises one of :data:`_ENTRY_ERRORS`.
+    """
+    entry = pickle.loads(payload)
+    if not isinstance(entry, dict) or not _ENTRY_KEYS <= entry.keys():
+        raise BlobIntegrityError("cache entry has an alien payload shape")
+    columns = entry["columns"]
+    if (not isinstance(columns, (tuple, list))
+            or len(columns) != _COLUMN_COUNT
+            or len(set(map(len, columns))) != 1
+            or not isinstance(entry["health"], dict)
+            or not isinstance(entry["malformed"], list)):
+        raise BlobIntegrityError("cache entry columns are malformed")
+    return entry
+
+
+def _read_entry(entry_path: Path) -> dict:
+    """Read, checksum and decode one entry file (maintenance readers)."""
+    return _decode_entry(read_checksummed_blob(entry_path, CACHE_MAGIC))
 
 
 def _canonical_health_dict(health: SourceHealth) -> dict[str, int]:

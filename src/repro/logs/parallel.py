@@ -46,6 +46,7 @@ import warnings
 from pathlib import Path
 from typing import Optional
 
+from repro.core.gcpause import paused_gc
 from repro.logs.health import (
     ErrorPolicy,
     IngestionError,
@@ -254,7 +255,10 @@ def parallel_read(
         "parallel_read", legacy, workers, force_parallel, error_policy,
         health)
     policy = _coerce_legacy_policy(error_policy, policy, "parallel_read")
-    with OBS.span("logs.parallel_read", "ingest") as read_span:
+    # the parent's probe, unpack and merges allocate every record: no
+    # cyclic collection meanwhile (forked pool workers start unpaused,
+    # see repro.core.gcpause)
+    with paused_gc(), OBS.span("logs.parallel_read", "ingest") as read_span:
         result = _parallel_read(store, workers, force_parallel, policy,
                                 health, read_span)
     return result

@@ -178,6 +178,89 @@ class TestInvalidation:
         assert cache.invalidated == 1
 
 
+def overwrite_entry(cache, payload: bytes):
+    """Replace the first entry with a checksum-valid ``payload``."""
+    from repro.core.artifacts import write_checksummed_blob
+
+    victim = cache.entry_files()[0]
+    write_checksummed_blob(victim, payload, CACHE_MAGIC)
+    return victim
+
+
+def entry_payload(cache, **changes) -> bytes:
+    """The first entry's pickled dict with ``changes`` applied."""
+    import pickle
+
+    from repro.core.artifacts import read_checksummed_blob
+
+    entry = pickle.loads(
+        read_checksummed_blob(cache.entry_files()[0], CACHE_MAGIC))
+    entry.update(changes)
+    return pickle.dumps(entry)
+
+
+class TestEntryValidation:
+    """Lookups, ``stats`` and ``verify`` judge an entry the same way."""
+
+    #: a protocol-0 pickle naming a class that does not exist
+    MISSING_CLASS = b"crepro.logs.cache\nNoSuchEntryClass\n."
+
+    def assert_invalid_everywhere(self, store, cache, payload):
+        cached = store.with_cache(cache)
+        want = snapshot(store)
+        victim = overwrite_entry(cache, payload)
+        stats = cache.stats(count_records=True)
+        assert (stats.entries, stats.invalid) == (6, 1)
+        valid, invalid = cache.verify(heal=False)
+        assert invalid == [victim]
+        assert snapshot(cached) == want        # the lookup self-heals
+        assert cache.invalidated == 1
+        assert cache.verify() == (6, [])
+
+    def test_missing_class_is_invalid_not_a_crash(self, tmp_path):
+        store = small_store(tmp_path / "logs")
+        cache = ParseCache(tmp_path / "pc")
+        snapshot(store.with_cache(cache))
+        self.assert_invalid_everywhere(store, cache, self.MISSING_CLASS)
+
+    def test_empty_columns_are_invalid_not_a_crash(self, tmp_path):
+        store = small_store(tmp_path / "logs")
+        cache = ParseCache(tmp_path / "pc")
+        snapshot(store.with_cache(cache))
+        payload = entry_payload(cache, columns=())
+        self.assert_invalid_everywhere(store, cache, payload)
+
+    def test_ragged_columns_are_invalid(self, tmp_path):
+        """Columns of unequal length would rebuild truncated records."""
+        store = small_store(tmp_path / "logs")
+        cache = ParseCache(tmp_path / "pc")
+        snapshot(store.with_cache(cache))
+        payload = entry_payload(cache, columns=([1.0],) + ([],) * 7)
+        self.assert_invalid_everywhere(store, cache, payload)
+
+    def test_missing_entry_is_a_plain_miss(self, tmp_path):
+        from repro.obs import session
+
+        store = small_store(tmp_path / "logs")
+        cache = ParseCache(tmp_path / "pc")
+        parser = LineParser(store.manifest().clock())
+        with session() as obs:
+            assert cache.lookup(store.root / "p0/console.log", parser) is None
+        assert (cache.hits, cache.invalidated) == (0, 0)
+        assert obs.metrics.counter("cache.invalidate").value == 0
+        [span] = [s for s in obs.spans() if s.name == "cache.load"]
+        assert span.tags["miss"] is True and "error" not in span.tags
+
+    def test_cache_root_under_a_file_is_a_plain_miss(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where the cache dir should go")
+        store = small_store(tmp_path / "logs")
+        cache = ParseCache(blocker / "nope")
+        parser = LineParser(store.manifest().clock())
+        assert cache.lookup(store.root / "p0/console.log", parser) is None
+        assert cache.invalidated == 0
+
+
 class TestContentIdentity:
     def test_renamed_file_hits(self, tmp_path):
         store = small_store(tmp_path / "logs")
