@@ -3,10 +3,11 @@
 ``repro.core.gcpause.paused_gc`` turns CPython's cyclic collector off
 while ingest, the pipeline build and the analyses allocate their
 records.  These tests hold its contract: the caller's collector state
-comes back exactly, on errors too; scopes nest and overlap across
-threads; a child forked mid-pause starts unpaused; and no collection
-runs inside a warm ``from_store``, ``run``, ``parallel_read`` or
-``api.diagnose``.
+comes back exactly, on errors too; scopes nest; only the main thread
+pauses, so a pipeline on a worker thread (the ``serve`` executor) keeps
+the collector on; a child forked mid-pause starts unpaused; and no
+collection runs inside a warm ``from_store``, ``run``,
+``parallel_read`` or ``api.diagnose``.
 """
 
 from __future__ import annotations
@@ -92,38 +93,25 @@ class TestScopes:
             assert not gc.isenabled()
         assert gc.isenabled()
 
-    def test_overlapping_threads_end_with_gc_enabled(self):
-        """The serve shape: one scope opens, a second overlaps it, and
-        the first closes before the second."""
-        first_in, second_in, first_out = (threading.Event() for _ in range(3))
-        seen: dict[str, bool] = {}
+    def test_worker_thread_scope_leaves_the_collector_alone(self):
+        """The serve shape: pipeline work on an executor thread."""
+        seen: list[tuple[bool, int]] = []
 
-        def first():
+        def worker():
             with paused_gc():
-                first_in.set()
-                second_in.wait(5)
-            first_out.set()
+                seen.append((gc.isenabled(), pause_depth()))
+                with paused_gc():
+                    seen.append((gc.isenabled(), pause_depth()))
+            seen.append((gc.isenabled(), pause_depth()))
 
-        def second():
-            first_in.wait(5)
-            with paused_gc():
-                second_in.set()
-                first_out.wait(5)
-                seen["after_first_exit"] = gc.isenabled()
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(10)
+        assert seen == [(True, 0)] * 3
 
-        threads = [threading.Thread(target=first),
-                   threading.Thread(target=second)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(10)
-        assert seen == {"after_first_exit": False}
-        assert gc.isenabled()
-        assert pause_depth() == 0
-
-    def test_many_threads_never_see_the_collector_on_inside_a_scope(self):
-        """A lost depth update would re-enable the collector under a
-        scope still open in another thread, or leave it off at the end."""
+    def test_worker_scopes_never_touch_a_main_thread_pause(self):
+        """Workers opening and closing scopes inside the main thread's
+        pause neither re-enable the collector nor leave it off."""
         breaches: list[int] = []
 
         def churn():
@@ -135,16 +123,44 @@ class TestScopes:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=churn) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(30)
+            with paused_gc():
+                threads = [threading.Thread(target=churn) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30)
+                assert not gc.isenabled()
+                assert pause_depth() == 1
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert breaches == []
         assert gc.isenabled()
+        assert pause_depth() == 0
+
+    def test_pipeline_on_a_worker_thread_keeps_the_collector_on(
+            self, diagnosed_scenario, collections):
+        """``api.diagnose`` on an executor thread runs with the collector
+        on throughout: its young-generation passes keep happening."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro import api
+
+        _plat, _camp, store = diagnosed_scenario
+        enabled: list[bool] = []
+
+        def diagnose():
+            gc.collect()
+            collections.clear()
+            report = api.diagnose(store.root)
+            enabled.append(gc.isenabled())
+            return report.failure_count, len(collections)
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            count, passes = pool.submit(diagnose).result(timeout=120)
+        assert count > 0
+        assert enabled == [True]
+        assert passes > 0
         assert pause_depth() == 0
 
 
@@ -172,6 +188,28 @@ class TestFork:
             assert self.child_state() == (0, True)
             assert pause_depth() == 2
         assert gc.isenabled()
+
+    def test_scope_inherited_by_a_child_is_inert_there(self):
+        """A child that leaves the scope it was forked in closes no pause
+        of its own, and can still pause afterwards."""
+        read, write = os.pipe()
+        pid = -1
+        try:
+            with paused_gc():
+                pid = os.fork()
+            if pid == 0:  # child: the inherited scope has just exited
+                with paused_gc():
+                    paused = not gc.isenabled()
+                os.write(write, f"{pause_depth()},{int(gc.isenabled())},"
+                                f"{int(paused)}".encode())
+        finally:
+            if pid == 0:
+                os._exit(0)
+        os.close(write)
+        with os.fdopen(read) as handle:
+            report = handle.read()
+        os.waitpid(pid, 0)
+        assert report == "0,1,1"
 
     def test_child_of_a_gc_disabled_caller_stays_disabled(self):
         gc.disable()
