@@ -5,7 +5,11 @@
 #      chaos-marked tests excluded via pyproject addopts)
 #   2. supervision smoke: the process-level supervisor tests alone, as
 #      a focused re-run (they are part of tier-1 too; this isolates
-#      worker/fork behaviour when debugging an environment)
+#      worker/fork behaviour when debugging an environment): the
+#      campaign supervisor and its scheduler (tests/runtime), fleets at
+#      max_workers 1..3 (tests/fleet/test_supervisor.py) and spans across
+#      the fork boundary (tests/obs/test_fork_boundary.py) -- one
+#      scheduler runs them all
 #   3. streaming smoke: a real `repro watch` subprocess tails a live
 #      directory, alerts on a fed increment, and finalizes cleanly on
 #      SIGTERM (tests/stream/test_cli_smoke.py, -m streaming); the
@@ -56,7 +60,8 @@ echo "== tier-1 (default pytest run) =="
 python -m pytest -q
 
 echo "== supervision smoke (pytest -m supervision) =="
-python -m pytest tests/runtime -m supervision -q
+python -m pytest tests/runtime tests/fleet/test_supervisor.py \
+    tests/obs/test_fork_boundary.py -m supervision -q
 
 echo "== streaming smoke (pytest -m streaming) =="
 python -m pytest tests/stream -m streaming -q

@@ -26,8 +26,9 @@ Stability contract (see ``docs/API.md``):
 * the surface is snapshotted in ``tests/data/api_surface.json`` and
   guarded by ``scripts/check_api.py`` -- changing a signature without
   re-capturing the snapshot fails CI;
-* renamed or moved entry points keep working for one release behind
-  :class:`DeprecationWarning` shims.
+* a renamed or moved entry point keeps working for one release behind
+  a :class:`DeprecationWarning` shim (none is current; see
+  ``docs/API.md``).
 """
 
 from __future__ import annotations

@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--max-workers", type=int, default=None,
                          metavar="N",
                          help="concurrent shard workers (default: cpu-1, "
-                              "capped at 8; 1 forces sequential)")
+                              "capped at 8; 1 runs one at a time)")
     p_fleet.add_argument("--trace", type=Path, default=None, metavar="PATH",
                          help="record the run and write a Chrome "
                               "trace-event JSON file")

@@ -197,9 +197,8 @@ class AnalysisRegistry:
     def source_dependents(self) -> dict[LogSource, tuple[str, ...]]:
         """The derived source -> dependent-analyses table.
 
-        This is the registry-backed replacement for the old hardcoded
-        ``SOURCE_DEPENDENT_ANALYSES`` module constant (which remains as
-        a compatibility alias computed from this query).
+        Computed from each spec's ``required_sources``, so the table can
+        never drift from the declarations it summarises.
         """
         table: dict[LogSource, tuple[str, ...]] = {}
         for source in LogSource:

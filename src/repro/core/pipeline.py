@@ -31,7 +31,6 @@ readers saw.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -60,19 +59,7 @@ from repro.obs import OBS
 from repro.simul.clock import DAY
 
 __all__ = ["DiagnosisReport", "DiagnosisWindow", "HolisticDiagnosis",
-           "SOURCE_DEPENDENT_ANALYSES", "degradation_for", "guarded"]
-
-
-def __getattr__(name: str):
-    # the old hardcoded source -> dependent-analyses table, kept as a
-    # deprecated alias derived from the registry's declarations
-    if name == "SOURCE_DEPENDENT_ANALYSES":
-        warnings.warn(
-            "SOURCE_DEPENDENT_ANALYSES is deprecated; use "
-            "repro.core.analysis.REGISTRY.source_dependents()",
-            DeprecationWarning, stacklevel=2)
-        return REGISTRY.source_dependents()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+           "degradation_for", "guarded"]
 
 
 #: internal sources never skip analyses outright, but their absence is
@@ -263,7 +250,7 @@ class HolisticDiagnosis:
     def from_store(
         cls,
         store: LogStore,
-        *legacy,
+        *,
         error_policy: ErrorPolicy | str = ErrorPolicy.SKIP,
         health: Optional[IngestionHealth] = None,
         cache=None,
@@ -277,8 +264,7 @@ class HolisticDiagnosis:
         the resulting :class:`~repro.logs.health.IngestionHealth` rides
         on the pipeline and the report.  Under ``strict`` a single
         malformed line raises; the tolerant policies always produce a
-        (possibly degraded) pipeline.  ``policy`` is accepted as a
-        deprecated spelling of ``error_policy``.
+        (possibly degraded) pipeline.
 
         ``cache`` attaches a persistent parse cache to the ingestion
         pass (see :meth:`~repro.logs.store.LogStore.with_cache` for the
@@ -288,27 +274,6 @@ class HolisticDiagnosis:
         ``from_store(store.with_cache(True))`` and
         ``from_store(store, cache=True)`` warm-start identically.
         """
-        if legacy:
-            if len(legacy) > 3:
-                raise TypeError(
-                    "from_store() takes one positional argument (the "
-                    f"store); got {len(legacy)} extra")
-            names = ("error_policy", "health", "cache")
-            warnings.warn(
-                "from_store() positional options are deprecated; pass "
-                f"{'/'.join(n + '=' for n in names[:len(legacy)])} as "
-                "keywords (the names every public entry point shares)",
-                DeprecationWarning, stacklevel=2)
-            resolved = [error_policy, health, cache]
-            for index, value in enumerate(legacy):
-                resolved[index] = value
-            error_policy, health, cache = resolved
-        if "policy" in kwargs:
-            warnings.warn(
-                "from_store(policy=...) is deprecated; use error_policy=... "
-                "(the spelling every public entry point shares)",
-                DeprecationWarning, stacklevel=2)
-            error_policy = kwargs.pop("policy")
         if cache is not None:
             store = store.with_cache(cache)
         manifest = store.manifest()

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -179,57 +178,13 @@ def _parse_file_packed(
     return _pack_records(records), counts, quarantined, error, payload
 
 
-def _coerce_legacy_policy(
-    error_policy: ErrorPolicy | str,
-    policy: Optional[ErrorPolicy | str],
-    where: str,
-) -> ErrorPolicy:
-    """Resolve the renamed ``error_policy`` kwarg against legacy ``policy``."""
-    if policy is not None:
-        warnings.warn(
-            f"{where}(policy=...) is deprecated; use error_policy=... "
-            "(the spelling every public entry point shares)",
-            DeprecationWarning, stacklevel=3)
-        error_policy = policy
-    return ErrorPolicy.coerce(error_policy)
-
-
-_OPTION_NAMES = ("workers", "force_parallel", "error_policy", "health")
-
-
-def _coerce_legacy_positional(where, legacy, workers, force_parallel,
-                              error_policy, health):
-    """Map deprecated positional options onto their keyword names.
-
-    The public surface promises one positional argument (the store) and
-    keyword-only options; callers still passing options positionally
-    get one release of DeprecationWarning-backed compatibility.
-    """
-    if not legacy:
-        return workers, force_parallel, error_policy, health
-    if len(legacy) > len(_OPTION_NAMES):
-        raise TypeError(
-            f"{where}() takes one positional argument (the store); "
-            f"got {len(legacy)} extra")
-    warnings.warn(
-        f"{where}() positional options are deprecated; pass "
-        f"{'/'.join(n + '=' for n in _OPTION_NAMES[:len(legacy)])} as "
-        "keywords (the names every public entry point shares)",
-        DeprecationWarning, stacklevel=3)
-    resolved = [workers, force_parallel, error_policy, health]
-    for index, value in enumerate(legacy):
-        resolved[index] = value
-    return tuple(resolved)
-
-
 def parallel_read(
     store: LogStore,
-    *legacy,
+    *,
     workers: Optional[int] = None,
     force_parallel: bool = False,
     error_policy: ErrorPolicy | str = ErrorPolicy.SKIP,
     health: Optional[IngestionHealth] = None,
-    policy: Optional[ErrorPolicy | str] = None,
 ) -> dict[LogSource, list[ParsedRecord]]:
     """Parse every source of a store, fanned out over processes.
 
@@ -241,8 +196,7 @@ def parallel_read(
     is small (see :data:`MIN_PARALLEL_BYTES`) or the host has a single
     usable CPU -- a pool can only lose there -- unless
     ``force_parallel`` insists.  ``error_policy`` and ``health`` behave
-    as in :meth:`~repro.logs.store.LogStore.read_source` (``policy`` is
-    the deprecated spelling of ``error_policy``).  Under the strict
+    as in :meth:`~repro.logs.store.LogStore.read_source`.  Under the strict
     policy a violating file raises :class:`IngestionError` here in the
     parent -- but only after every worker result has been drained, so
     the health accounting of the other files survives.
@@ -251,10 +205,7 @@ def parallel_read(
     ``logs.parallel_read`` span (tags: file count, byte total, mode),
     and pool workers' buffered spans/metrics are merged at drain.
     """
-    workers, force_parallel, error_policy, health = _coerce_legacy_positional(
-        "parallel_read", legacy, workers, force_parallel, error_policy,
-        health)
-    policy = _coerce_legacy_policy(error_policy, policy, "parallel_read")
+    policy = ErrorPolicy.coerce(error_policy)
     # the parent's probe, unpack and merges allocate every record: no
     # cyclic collection meanwhile (forked pool workers start unpaused,
     # see repro.core.gcpause)
@@ -390,12 +341,11 @@ def _parallel_read(
 
 def diagnosis_inputs(
     store: LogStore,
-    *legacy,
+    *,
     workers: Optional[int] = None,
     force_parallel: bool = False,
     error_policy: ErrorPolicy | str = ErrorPolicy.SKIP,
     health: Optional[IngestionHealth] = None,
-    policy: Optional[ErrorPolicy | str] = None,
 ) -> tuple[list[ParsedRecord], list[ParsedRecord], list[ParsedRecord]]:
     """(internal, external, scheduler) streams, parsed in parallel.
 
@@ -407,13 +357,9 @@ def diagnosis_inputs(
     The per-source streams come back already time-sorted, so the
     combined streams are k-way merges, not re-sorts.
     """
-    workers, force_parallel, error_policy, health = _coerce_legacy_positional(
-        "diagnosis_inputs", legacy, workers, force_parallel, error_policy,
-        health)
-    resolved = _coerce_legacy_policy(error_policy, policy, "diagnosis_inputs")
     by_source = parallel_read(store, workers=workers,
                               force_parallel=force_parallel,
-                              error_policy=resolved, health=health)
+                              error_policy=error_policy, health=health)
     internal = _merge_records([
         by_source[LogSource.CONSOLE],
         by_source[LogSource.MESSAGES],

@@ -489,14 +489,6 @@ class LogStore:
                 files.append(candidate)
         return files
 
-    def _source_files(self, source: LogSource) -> list[Path]:
-        """Deprecated pre-hardening spelling of :meth:`source_files`."""
-        warnings.warn(
-            "LogStore._source_files is deprecated; use "
-            "LogStore.source_files",
-            DeprecationWarning, stacklevel=2)
-        return self.source_files(source)
-
     def quarantine_path(self, source: LogSource) -> Path:
         """Where quarantined raw lines of one source are collected."""
         return self.root / QUARANTINE_DIR / f"{source.value}.quarantine.log"

@@ -4,8 +4,8 @@ per-scenario circuit breaker.
 Both pieces are deliberately free of wall-clock and OS state so the
 supervisor's decisions are reproducible: the jitter is derived from a
 hash of ``(key, attempt)`` rather than a live RNG, and the breaker is a
-plain counter.  Sleeping is the caller's job (the supervisor injects a
-``sleep`` callable so tests never wait).
+plain counter.  Waiting is the caller's job: the supervisor turns a
+backoff into a per-group time gate, never a blocking sleep.
 """
 
 from __future__ import annotations

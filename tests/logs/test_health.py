@@ -230,3 +230,32 @@ class TestHealthModel:
         health.source(LogSource.SCHEDULER)
         health.source(LogSource.CONSOLE).files = 1
         assert health.missing_sources() == [LogSource.SCHEDULER]
+
+
+class TestUnifiedErrorPolicyMessages:
+    """Every refusal names the unified knob ``error_policy``."""
+
+    def test_coerce_message_says_error_policy(self):
+        with pytest.raises(ValueError, match="unknown error_policy"):
+            ErrorPolicy.coerce("explode")
+
+    def test_api_diagnose_bad_policy_says_error_policy(self, tmp_path):
+        from repro import api
+
+        with pytest.raises(ValueError, match="unknown error_policy"):
+            api.DiagnoseRequest(logdir=str(tmp_path), error_policy="nope")
+
+    def test_checkpoint_resume_mismatch_says_error_policy(self, tmp_path):
+        from repro.stream.checkpoint import (
+            CheckpointError,
+            WatchCheckpoint,
+            WatchState,
+        )
+
+        checkpoint = WatchCheckpoint(tmp_path)
+        state = WatchState()
+        state.started = True
+        state.config = {"window_days": 1, "error_policy": "skip"}
+        with pytest.raises(CheckpointError, match="error_policy="):
+            checkpoint.check_resumable(state, window_days=1,
+                                       error_policy="strict")

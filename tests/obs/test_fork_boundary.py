@@ -35,7 +35,6 @@ def fast_config():
         heartbeat_grace=5.0,
         retry=RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.05),
         breaker_threshold=3,
-        sleep=lambda seconds: None,
     )
 
 

@@ -39,7 +39,6 @@ def fast_config(**overrides):
         heartbeat_grace=5.0,
         retry=RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05),
         breaker_threshold=3,
-        sleep=lambda seconds: None,
     )
     defaults.update(overrides)
     return SupervisorConfig(**defaults)
@@ -282,3 +281,77 @@ class TestResume:
         report = CampaignSupervisor(tmp_path / "camp", seed=7, specs=SPECS,
                                     config=config).run(resume=True)
         assert all(o.from_journal for o in report.outcomes)
+
+
+def timed_spec(exp, scenario, out_dir, work):
+    """A spec whose worker records its wall interval to ``<exp>.interval``."""
+    def produce(seed):
+        start = time.monotonic()
+        time.sleep(work)
+        (out_dir / f"{exp}.interval").write_text(
+            f"{start!r} {time.monotonic()!r}")
+        return ExperimentResult(exp, f"title {exp}",
+                                {"seed": seed, "v": 1.5}, {"v": 1.0}, True)
+    return ExperimentSpec(exp, scenario, produce)
+
+
+def peak_overlap(intervals):
+    """Most intervals open at any one instant (ends sort before starts)."""
+    edges = sorted([(start, 1) for start, _ in intervals]
+                   + [(end, -1) for _, end in intervals])
+    live = peak = 0
+    for _, step in edges:
+        live += step
+        peak = max(peak, live)
+    return peak
+
+
+class TestScheduler:
+    @supervision
+    def test_backoff_never_blocks_other_groups(self, tmp_path, monkeypatch):
+        """At one worker, a group waiting out its retry backoff yields
+        the slot: the healthy group runs before the retry does."""
+        install_plan(monkeypatch, tmp_path,
+                     {"a1": [FaultSpec("crash", attempts=(1,))]})
+        sup = CampaignSupervisor(
+            tmp_path / "camp", specs=(spec("a1", "sA"), spec("b1", "sB")),
+            config=fast_config(max_workers=1,
+                               retry=RetryPolicy(max_attempts=2,
+                                                 base_delay=0.3)))
+        report = sup.run()
+        assert all(o.completed for o in report.outcomes)
+        starts = [(e["experiment"], e["attempt"])
+                  for e in sup.journal.events() if e["event"] == "start"]
+        assert starts == [("a1", 1), ("b1", 1), ("a1", 2)]
+
+    @supervision
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_workers_never_exceed_max_workers(self, tmp_path, max_workers):
+        out = tmp_path / "intervals"
+        out.mkdir()
+        specs = tuple(timed_spec(f"{g}{i}", f"s{g}", out, work=0.15)
+                      for g in "abcd" for i in (1, 2))
+        report = CampaignSupervisor(
+            tmp_path / "camp", specs=specs,
+            config=fast_config(max_workers=max_workers)).run()
+        assert all(o.completed for o in report.outcomes)
+        intervals = [tuple(map(float, path.read_text().split()))
+                     for path in out.glob("*.interval")]
+        assert len(intervals) == len(specs)
+        assert peak_overlap(intervals) == max_workers
+
+    @supervision
+    def test_single_group_retries_under_many_workers(self, tmp_path,
+                                                     monkeypatch):
+        install_plan(monkeypatch, tmp_path,
+                     {"a1": [FaultSpec("crash", attempts=(1,))]})
+        sup = CampaignSupervisor(
+            tmp_path / "camp", specs=(spec("a1", "sA"), spec("a2", "sA")),
+            config=fast_config(max_workers=2))
+        report = sup.run()
+        by_id = {o.experiment: o for o in report.outcomes}
+        assert by_id["a1"].completed and by_id["a1"].attempts == 2
+        assert by_id["a2"].completed and by_id["a2"].attempts == 1
+        events = [e["event"] for e in sup.journal.events()
+                  if e.get("experiment") == "a1"]
+        assert events == ["start", "attempt-failed", "start", "complete"]
