@@ -10,9 +10,10 @@
 #      max_workers 1..3 (tests/fleet/test_supervisor.py) and spans across
 #      the fork boundary (tests/obs/test_fork_boundary.py) -- one
 #      scheduler runs them all
-#   3. streaming smoke: a real `repro watch` subprocess tails a live
-#      directory, alerts on a fed increment, and finalizes cleanly on
-#      SIGTERM (tests/stream/test_cli_smoke.py, -m streaming); the
+#   3. streaming smoke: a real `repro watch` subprocess (the CLI drives
+#      api.watch) tails a live directory, alerts on a fed increment, and
+#      finalizes cleanly on SIGTERM (tests/stream/test_cli_smoke.py,
+#      -m streaming); the
 #      streamed-vs-batch replay-parity and SIGKILL-resume gates run in
 #      the chaos tier below (tests/chaos/test_stream_chaos.py)
 #   4. parity gate: the registry-driver report must stay byte-identical
@@ -33,8 +34,9 @@
 #      (scenario -> store -> cached ingest -> report) plus dialect
 #      sniffing and per-catalog cache isolation
 #      (tests/logs/test_catalogs.py; see docs/PLATFORMS.md)
-#   7. serve smoke: a real `repro serve` subprocess answers POST
-#      /v1/diagnose twice (second answer must be a byte-identical
+#   7. serve smoke: a real `repro serve` subprocess (the CLI drives
+#      api.serve, whose announce line carries the bound port) answers
+#      POST /v1/diagnose twice (second answer must be a byte-identical
 #      cache hit), reports honest counters on /v1/health, and drains
 #      cleanly on SIGTERM (tests/serve/test_cli_smoke.py, -m serve);
 #      the in-process coalescing/quota/drain matrix is tier-1

@@ -209,16 +209,34 @@ class ServiceResponse:
         return canonical_json(self.to_wire())
 
 
-def _require_request_only(fn_name: str, **pairs) -> None:
-    """Reject kwargs that overlap a passed DiagnoseRequest's fields."""
-    for name, (value, default) in pairs.items():
-        if name == "error_policy":
-            value = ErrorPolicy.coerce(value)
-            default = ErrorPolicy.coerce(default)
-        if value != default:
+#: keyword defaults of the request options, shared by every entry point
+#: that accepts a :class:`DiagnoseRequest` (``watch`` overrides one)
+_REQUEST_DEFAULTS = dict(window_days=None, stride_days=None,
+                         error_policy=ErrorPolicy.SKIP, only=None,
+                         cache=None, platform=None)
+
+
+def _resolve(fn_name: str, logdir, defaults: dict, **given):
+    """``(logdir, options)`` for an entry point taking a request or a path.
+
+    With a path, ``given`` (the caller's keywords) passes through.  With
+    a :class:`DiagnoseRequest`, every keyword must sit at its default in
+    ``defaults`` (else ``TypeError``) and the request supplies the
+    values instead -- a field the request leaves ``None`` keeps the
+    keyword's default.
+    """
+    if not isinstance(logdir, DiagnoseRequest):
+        return logdir, given
+    for name, value in given.items():
+        if value != defaults[name]:
             raise TypeError(
                 f"{fn_name}() got both a DiagnoseRequest and an explicit "
                 f"{name}= keyword; set {name} on the request instead")
+    options = {}
+    for name in given:
+        value = getattr(logdir, name)
+        options[name] = defaults[name] if value is None else value
+    return logdir.logdir, options
 
 
 def _store(logdir: Union[Path, str],
@@ -270,19 +288,13 @@ def load_system(
     recorded dialect, content-sniffing when the manifest predates the
     field (see ``docs/PLATFORMS.md``).
     """
-    if isinstance(logdir, DiagnoseRequest):
-        request = logdir
-        _require_request_only(
-            "load_system",
-            error_policy=(error_policy, ErrorPolicy.SKIP),
-            cache=(cache, None), platform=(platform, None))
-        logdir = request.logdir
-        error_policy = request.error_policy
-        cache = request.cache
-        platform = request.platform
+    logdir, options = _resolve(
+        "load_system", logdir, _REQUEST_DEFAULTS, error_policy=error_policy,
+        cache=cache, platform=platform)
     return HolisticDiagnosis.from_store(
-        _store(logdir, platform), error_policy=error_policy, health=health,
-        cache=cache)
+        _store(logdir, options["platform"]),
+        error_policy=options["error_policy"], health=health,
+        cache=options["cache"])
 
 
 def diagnose(
@@ -305,25 +317,16 @@ def diagnose(
     knobs of :func:`load_system`.  A :class:`DiagnoseRequest` (with
     ``window_days`` unset) may stand in for the path plus options.
     """
-    if isinstance(logdir, DiagnoseRequest):
-        request = logdir
-        _require_request_only(
-            "diagnose",
-            error_policy=(error_policy, ErrorPolicy.SKIP),
-            only=(only, None), cache=(cache, None),
-            platform=(platform, None))
-        if request.window_days is not None:
-            raise ValueError(
-                "request sets window_days; use diagnose_windowed for "
-                "windowed runs")
-        logdir = request.logdir
-        error_policy = request.error_policy
-        only = request.only
-        cache = request.cache
-        platform = request.platform
+    logdir, options = _resolve(
+        "diagnose", logdir, _REQUEST_DEFAULTS, window_days=None,
+        error_policy=error_policy, only=only, cache=cache, platform=platform)
+    if options.pop("window_days") is not None:
+        raise ValueError(
+            "request sets window_days; use diagnose_windowed for "
+            "windowed runs")
+    only = options.pop("only")
     with _maybe_session(obs), paused_gc():
-        return load_system(logdir, error_policy=error_policy,
-                           cache=cache, platform=platform).run(only=only)
+        return load_system(logdir, **options).run(only=only)
 
 
 def diagnose_windowed(
@@ -346,33 +349,20 @@ def diagnose_windowed(
     ``platform`` are the parse-cache and read-dialect knobs of
     :func:`load_system`.  A :class:`DiagnoseRequest` carrying
     ``window_days`` may stand in for the path plus options -- the
-    keyword is then optional (and must agree when given).
+    keywords must then be left at their defaults.
     """
-    if isinstance(logdir, DiagnoseRequest):
-        request = logdir
-        _require_request_only(
-            "diagnose_windowed",
-            window_days=(window_days, None),
-            stride_days=(stride_days, None),
-            error_policy=(error_policy, ErrorPolicy.SKIP),
-            only=(only, None), cache=(cache, None),
-            platform=(platform, None))
-        logdir = request.logdir
-        window_days = request.window_days
-        stride_days = request.stride_days
-        error_policy = request.error_policy
-        only = request.only
-        cache = request.cache
-        platform = request.platform
-    if window_days is None:
+    logdir, options = _resolve(
+        "diagnose_windowed", logdir, _REQUEST_DEFAULTS,
+        window_days=window_days, stride_days=stride_days,
+        error_policy=error_policy, only=only, cache=cache, platform=platform)
+    windows = {name: options.pop(name)
+               for name in ("window_days", "stride_days", "only")}
+    if windows["window_days"] is None:
         raise TypeError(
             "diagnose_windowed() needs window_days -- as a keyword or on "
             "the DiagnoseRequest")
     with _maybe_session(obs), paused_gc():
-        diag = load_system(logdir, error_policy=error_policy, cache=cache,
-                           platform=platform)
-        return list(diag.run_windowed(window_days, stride_days=stride_days,
-                                      only=only))
+        return list(load_system(logdir, **options).run_windowed(**windows))
 
 
 def watch(
@@ -415,26 +405,15 @@ def watch(
     # not needed by the batch-only surface above
     from repro.stream import WatchConfig, WatchDaemon
 
-    if isinstance(logdir, DiagnoseRequest):
-        request = logdir
-        _require_request_only(
-            "watch",
-            window_days=(window_days, 1),
-            error_policy=(error_policy, ErrorPolicy.SKIP),
-            cache=(cache, None), platform=(platform, None))
-        logdir = request.logdir
-        if request.window_days is not None:
-            window_days = request.window_days
-        error_policy = request.error_policy
-        cache = request.cache
-        platform = request.platform
-
+    logdir, options = _resolve(
+        "watch", logdir, {**_REQUEST_DEFAULTS, "window_days": 1},
+        window_days=window_days, error_policy=error_policy, cache=cache,
+        platform=platform)
     _store(logdir)  # fail early with the shared useful message
     config = WatchConfig(
-        logdir=Path(logdir), out=Path(out), window_days=window_days,
-        poll_interval=poll_interval, error_policy=error_policy,
+        logdir=Path(logdir), out=Path(out), poll_interval=poll_interval,
         resume=resume, max_polls=max_polls, idle_polls=idle_polls,
-        cache=cache, platform=platform)
+        **options)
     with _maybe_session(obs):
         return WatchDaemon(config).run()
 
@@ -538,16 +517,22 @@ def serve(
     report cache invalidated by logdir content fingerprints, per-tenant
     token buckets and a global backpressure cap answer overload with
     429 + ``Retry-After``.  ``root`` anchors every ``logdir`` in
-    request bodies (path escapes answer 403).  See ``docs/SERVICE.md``.
+    request bodies (path escapes answer 403); a ``root`` that is not a
+    directory raises ``FileNotFoundError`` before anything binds.  Once
+    the socket is bound it prints ``serving on http://host:port`` (with
+    ``port=0`` that line is the only way to learn the ephemeral port).
+    See ``docs/SERVICE.md``.
     """
     # imported lazily, like run_campaign: asyncio service machinery is
     # not needed by the batch-only surface above
     from repro.serve import ServiceConfig, run_service
 
+    if not Path(root).is_dir():
+        raise FileNotFoundError(f"{root} is not a directory")
     config = ServiceConfig(
         root=Path(root), host=host, port=port, max_workers=max_workers,
         cache_entries=cache_entries, quota_rate=quota_rate,
         quota_burst=quota_burst, max_pending=max_pending,
-        drain_grace=drain_grace)
+        drain_grace=drain_grace, announce=True)
     with _maybe_session(obs):
         return run_service(config)

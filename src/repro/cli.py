@@ -10,10 +10,14 @@ Usage (installed as a module runner)::
     python -m repro run-all --out campaign --resume
     python -m repro fleet fleetdir --systems 100 --resume
     python -m repro watch logs/live --out watch --idle-polls 10
+    python -m repro serve data --port 8787
 
-The CLI is a thin layer: each subcommand maps onto one public API call,
-so everything it prints is reproducible from a notebook with the same
-few lines.
+The CLI is a thin layer over :mod:`repro.api`: each subcommand that
+builds a pipeline, daemon, service or supervisor gets it from one
+public API call (the verb -> call table is in ``docs/API.md``), so
+everything it prints is reproducible from a notebook with the same
+few lines.  The batch verbs (``diagnose``, ``predict``, ``checkpoint``,
+``timeline``) run load and body under one collector pause.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro import api
 from repro.core.checkpointing import CheckpointAdvisor
+from repro.core.gcpause import paused_gc
 from repro.core.health import MitigationAdvisor
-from repro.core.pipeline import HolisticDiagnosis
 from repro.core.prediction import OnlinePredictor, PredictorConfig, evaluate
 from repro.core.report import generate_findings, render_findings
 from repro.core.rootcause import RootCauseEngine
@@ -36,6 +41,7 @@ from repro.experiments.scenarios import SCENARIOS, materialize
 from repro.logs.catalogs import catalog_names
 from repro.logs.health import ErrorPolicy, IngestionError
 from repro.logs.store import LogStore
+from repro.obs import ObsConfig, session
 
 __all__ = ["main", "build_parser"]
 
@@ -70,6 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parse-cache directory (default: "
                             "<logdir>/.parse-cache)")
 
+    def add_obs_flags(p: argparse.ArgumentParser, what: str = "run") -> None:
+        p.add_argument("--trace", type=Path, default=None, metavar="PATH",
+                       help=f"record the {what} and write a Chrome "
+                            "trace-event JSON file (open with Perfetto)")
+        p.add_argument("--metrics", type=Path, default=None, metavar="PATH",
+                       help=f"record the {what} and write a canonical-JSON "
+                            "metrics snapshot")
+
     def add_platform_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--platform", choices=catalog_names(), default=None,
                        help="platform catalog to read the logs under "
@@ -99,12 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--stride-days", type=int, default=None, metavar="M",
                         help="window advance in days (default: --window-days, "
                              "i.e. tumbling windows)")
-    p_diag.add_argument("--trace", type=Path, default=None, metavar="PATH",
-                        help="record the run and write a Chrome trace-event "
-                             "JSON file (open with Perfetto)")
-    p_diag.add_argument("--metrics", type=Path, default=None, metavar="PATH",
-                        help="record the run and write a canonical-JSON "
-                             "metrics snapshot")
+    add_obs_flags(p_diag)
 
     p_pred = sub.add_parser("predict", help="online failure prediction")
     p_pred.add_argument("logdir", type=Path)
@@ -158,12 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--no-isolation", action="store_true",
                        help="run experiments in-process (no worker "
                             "processes; exception capture only)")
-    p_run.add_argument("--trace", type=Path, default=None, metavar="PATH",
-                       help="record the campaign and write a Chrome "
-                            "trace-event JSON file")
-    p_run.add_argument("--metrics", type=Path, default=None, metavar="PATH",
-                       help="record the campaign and write a canonical-JSON "
-                            "metrics snapshot")
+    add_obs_flags(p_run, "campaign")
 
     p_fleet = sub.add_parser(
         "fleet",
@@ -184,12 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="concurrent shard workers (default: cpu-1, "
                               "capped at 8; 1 runs one at a time)")
-    p_fleet.add_argument("--trace", type=Path, default=None, metavar="PATH",
-                         help="record the run and write a Chrome "
-                              "trace-event JSON file")
-    p_fleet.add_argument("--metrics", type=Path, default=None, metavar="PATH",
-                         help="record the run and write a canonical-JSON "
-                              "metrics snapshot")
+    add_obs_flags(p_fleet)
 
     p_watch = sub.add_parser(
         "watch",
@@ -214,12 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch.add_argument("--idle-polls", type=int, default=None, metavar="N",
                          help="finalize after N consecutive polls with no "
                               "new data (default: run until SIGTERM)")
-    p_watch.add_argument("--trace", type=Path, default=None, metavar="PATH",
-                         help="record the run and write a Chrome trace-event "
-                              "JSON file")
-    p_watch.add_argument("--metrics", type=Path, default=None, metavar="PATH",
-                         help="record the run and write a canonical-JSON "
-                              "metrics snapshot")
+    add_obs_flags(p_watch)
 
     p_serve = sub.add_parser(
         "serve",
@@ -252,12 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="seconds to let in-flight requests finish "
                               "on SIGTERM (default: 30)")
-    p_serve.add_argument("--trace", type=Path, default=None, metavar="PATH",
-                         help="record the service and write a Chrome "
-                              "trace-event JSON file")
-    p_serve.add_argument("--metrics", type=Path, default=None, metavar="PATH",
-                         help="record the service and write a canonical-JSON "
-                              "metrics snapshot")
+    add_obs_flags(p_serve, "service")
 
     p_cache = sub.add_parser(
         "cache", help="manage a store's persistent parse cache")
@@ -301,24 +290,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _obs_session(args: argparse.Namespace):
-    """The CLI's observability scope: a real session when ``--trace`` or
-    ``--metrics`` was passed, a no-op context otherwise."""
-    trace = getattr(args, "trace", None)
-    metrics = getattr(args, "metrics", None)
-    if trace is None and metrics is None:
-        return contextlib.nullcontext()
-    from repro.obs import ObsConfig, session
-
-    return session(ObsConfig(trace_path=trace, metrics_path=metrics))
-
-
-def _note_obs_outputs(args: argparse.Namespace) -> None:
-    """Tell the operator where the session's artifacts landed."""
-    if getattr(args, "trace", None) is not None:
-        print(f"trace written: {args.trace}")
-    if getattr(args, "metrics", None) is not None:
-        print(f"metrics written: {args.metrics}")
+@contextlib.contextmanager
+def _observed(args: argparse.Namespace):
+    """The ``--trace`` / ``--metrics`` scope: a real session when either
+    was passed (noting where its artifacts landed once it closes), a
+    no-op otherwise."""
+    if args.trace is None and args.metrics is None:
+        yield
+        return
+    with session(ObsConfig(trace_path=args.trace, metrics_path=args.metrics)):
+        yield
+    for what, path in (("trace", args.trace), ("metrics", args.metrics)):
+        if path is not None:
+            print(f"{what} written: {path}")
 
 
 def _cache_from_args(args: argparse.Namespace):
@@ -337,14 +321,11 @@ def _cache_from_args(args: argparse.Namespace):
     return True if cache_dir is None else cache_dir
 
 
-def _load(logdir: Path, error_policy: str = "skip",
-          cache=None, platform: Optional[str] = None) -> HolisticDiagnosis:
-    store = LogStore(logdir, platform=platform)
-    if not store.exists():
-        raise SystemExit(f"error: {logdir} is not a log store "
-                         "(no manifest.json)")
-    return HolisticDiagnosis.from_store(store, error_policy=error_policy,
-                                        cache=cache)
+def _load(args: argparse.Namespace) -> api.HolisticDiagnosis:
+    """The pipeline over ``args.logdir``, built by :func:`api.load_system`."""
+    return api.load_system(args.logdir, error_policy=args.error_policy,
+                           cache=_cache_from_args(args),
+                           platform=getattr(args, "platform", None))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -389,32 +370,32 @@ def _parse_only(raw: Optional[str]) -> Optional[list[str]]:
 
 def _cmd_diagnose_windowed(args: argparse.Namespace,
                            only: Optional[list[str]]) -> int:
-    diag = _load(args.logdir, args.error_policy, _cache_from_args(args),
-                 platform=args.platform)
     try:
-        windows = diag.run_windowed(args.window_days,
-                                    stride_days=args.stride_days, only=only)
-        reasons_shown = False
-        for win in windows:
-            report = win.report
-            if report.degraded and not reasons_shown:
-                # the reasons are structural (missing streams, ingestion
-                # damage), so one header covers every window
-                reasons_shown = True
-                print(f"DEGRADED windows "
-                      f"({len(report.degraded_reasons)} reasons):")
-                for reason in report.degraded_reasons:
-                    print(f"  - {reason}")
-            lt = report.lead_times
-            summary = report.dominance_summary
-            dom = (f"dominant-cause {summary['mean_fraction']:.0%}"
-                   if summary.get("days") else "dominant-cause n/a")
-            flags = " DEGRADED" if report.degraded else ""
-            print(f"days {win.start_day:>3}-{win.end_day:<3} "
-                  f"failures {report.failure_count:>4}  {dom}  "
-                  f"enhanceable {lt.enhanceable_fraction:.0%}{flags}")
+        windows = api.diagnose_windowed(
+            args.logdir, window_days=args.window_days,
+            stride_days=args.stride_days, error_policy=args.error_policy,
+            only=only, cache=_cache_from_args(args), platform=args.platform)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
+    reasons_shown = False
+    for win in windows:
+        report = win.report
+        if report.degraded and not reasons_shown:
+            # the reasons are structural (missing streams, ingestion
+            # damage), so one header covers every window
+            reasons_shown = True
+            print(f"DEGRADED windows "
+                  f"({len(report.degraded_reasons)} reasons):")
+            for reason in report.degraded_reasons:
+                print(f"  - {reason}")
+        lt = report.lead_times
+        summary = report.dominance_summary
+        dom = (f"dominant-cause {summary['mean_fraction']:.0%}"
+               if summary.get("days") else "dominant-cause n/a")
+        flags = " DEGRADED" if report.degraded else ""
+        print(f"days {win.start_day:>3}-{win.end_day:<3} "
+              f"failures {report.failure_count:>4}  {dom}  "
+              f"enhanceable {lt.enhanceable_fraction:.0%}{flags}")
     return 0
 
 
@@ -426,20 +407,16 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     only = _parse_only(args.only)
     if args.window_days is None and args.stride_days is not None:
         raise SystemExit("error: --stride-days needs --window-days")
-    with _obs_session(args):
+    with _observed(args):
         if args.window_days is not None:
-            code = _cmd_diagnose_windowed(args, only)
-        else:
-            code = _diagnose_batch(args, only)
-    _note_obs_outputs(args)
-    return code
+            return _cmd_diagnose_windowed(args, only)
+        return _diagnose_batch(args, only)
 
 
 def _diagnose_batch(args: argparse.Namespace,
                     only: Optional[list[str]]) -> int:
     """The whole-span diagnosis body (``diagnose`` without windows)."""
-    diag = _load(args.logdir, args.error_policy, _cache_from_args(args),
-                 platform=args.platform)
+    diag = _load(args)
     report = diag.run(only=only)
     if report.degraded:
         print(f"DEGRADED diagnosis ({len(report.degraded_reasons)} reasons):")
@@ -496,7 +473,7 @@ def _diagnose_batch(args: argparse.Namespace,
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    diag = _load(args.logdir, args.error_policy, _cache_from_args(args))
+    diag = _load(args)
     config = PredictorConfig(
         require_external=args.require_external,
         min_events=args.min_events,
@@ -512,7 +489,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    diag = _load(args.logdir, args.error_policy, _cache_from_args(args))
+    diag = _load(args)
     advisor = CheckpointAdvisor(diag.failures)
     predictor = OnlinePredictor()
     stream = sorted(diag.internal + diag.external, key=lambda r: r.time)
@@ -531,7 +508,7 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 def _cmd_timeline(args: argparse.Namespace) -> int:
     from repro.core.timeline import node_timeline, render_timeline
 
-    diag = _load(args.logdir, args.error_policy, _cache_from_args(args))
+    diag = _load(args)
     anchor = args.at
     failure = None
     if anchor is None:
@@ -575,26 +552,21 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
     from repro.core.report import generate_campaign_findings
-    from repro.runtime import (
-        CampaignSupervisor,
-        JournalError,
-        RetryPolicy,
-        SupervisorConfig,
-    )
+    from repro.runtime import JournalError, RetryPolicy, SupervisorConfig
+    from repro.runtime.journal import JOURNAL_NAME
 
-    config = SupervisorConfig(
-        deadline=args.deadline,
-        retry=RetryPolicy(max_attempts=args.max_attempts),
-        breaker_threshold=args.breaker_threshold,
-        isolated=not args.no_isolation,
-    )
     try:
-        supervisor = CampaignSupervisor(
-            args.out, seed=args.seed, config=config, only=args.only)
-        with _obs_session(args):
-            report = supervisor.run(resume=args.resume)
-        _note_obs_outputs(args)
-    except (JournalError, KeyError) as exc:
+        config = SupervisorConfig(
+            deadline=args.deadline,
+            retry=RetryPolicy(max_attempts=args.max_attempts),
+            breaker_threshold=args.breaker_threshold,
+            isolated=not args.no_isolation,
+        )
+        with _observed(args):
+            report = api.run_campaign(args.out, seed=args.seed,
+                                      resume=args.resume, only=args.only,
+                                      config=config)
+    except (JournalError, KeyError, ValueError) as exc:
         raise SystemExit(f"error: {exc}")
     for outcome in report.outcomes:
         tag = f" ({outcome.scenario})" if outcome.scenario else ""
@@ -611,7 +583,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     shapes = sum(1 for o in completed if o.shape_ok)
     print(f"\n{len(completed)}/{len(report.outcomes)} experiments completed; "
           f"{shapes}/{len(completed)} shapes hold")
-    print(f"journal: {supervisor.journal.path}")
+    print(f"journal: {args.out / JOURNAL_NAME}")
     for note in report.notes:
         print(f"note: {note}")
     if report.degraded:
@@ -622,21 +594,18 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet import FleetSpec, FleetSupervisor, fleet_config
+    from repro.fleet import fleet_config
+    from repro.fleet.supervisor import REPORT_NAME
     from repro.runtime import JournalError
 
     try:
-        spec = FleetSpec(systems=args.systems, days=args.days,
-                         seed=args.seed, platform=args.platform)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    config = fleet_config(max_workers=args.max_workers)
-    try:
-        supervisor = FleetSupervisor(args.out, spec=spec, config=config)
-        with _obs_session(args):
-            report = supervisor.run(resume=args.resume)
-        _note_obs_outputs(args)
-    except JournalError as exc:
+        config = fleet_config(max_workers=args.max_workers)
+        with _observed(args):
+            report = api.diagnose_fleet(
+                args.out, systems=args.systems, days=args.days,
+                seed=args.seed, resume=args.resume, config=config,
+                platform=args.platform)
+    except (JournalError, ValueError) as exc:
         raise SystemExit(f"error: {exc}")
     cov = report.coverage
     print(f"fleet: {cov['fleet']} systems, {cov['covered']} covered, "
@@ -661,77 +630,67 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             print(f"  {entry['status'].upper():<7} {entry['system']:<9} "
                   f"{entry['reason']}")
         print("re-run with --resume to retry degraded shards")
-    print(f"report written: {supervisor.journal.report_path}")
+    print(f"report written: {args.out / REPORT_NAME}")
     return report.exit_code()
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    from repro.stream import CheckpointError, WatchConfig, WatchDaemon
+    from repro.stream import CheckpointError
 
-    store = LogStore(args.logdir)
-    if not store.exists():
-        raise SystemExit(f"error: {args.logdir} is not a log store "
-                         "(no manifest.json)")
-    config = WatchConfig(
-        logdir=args.logdir, out=args.out, window_days=args.window_days,
-        poll_interval=args.poll_interval, error_policy=args.error_policy,
-        resume=args.resume, max_polls=args.max_polls,
-        idle_polls=args.idle_polls, cache=_cache_from_args(args),
-        platform=args.platform)
-    try:
-        with _obs_session(args):
-            daemon = WatchDaemon(config)
-            print(f"watching {args.logdir} (window {args.window_days}d, "
-                  f"poll every {args.poll_interval}s); alerts -> "
-                  f"{args.out / 'alerts.jsonl'}", flush=True)
-            report = daemon.run()
-    except CheckpointError as exc:
-        raise SystemExit(f"error: {exc}")
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    stats = report.tail_stats
-    print(f"{'resumed' if report.resumed else 'watched'}: "
-          f"{report.polls} polls, {report.records} records, "
-          f"{stats.get('rotations', 0)} rotations survived")
-    print(f"windows: {report.window_count} "
-          f"(report sha256 {report.digest[:16]})")
-    print(f"alerts emitted: {report.alerts_emitted} "
-          f"-> {report.alerts_path}")
-    print(f"report written: {report.report_path}")
-    _note_obs_outputs(args)
+    cache = _cache_from_args(args)
+    print(f"watching {args.logdir} (window {args.window_days}d, "
+          f"poll every {args.poll_interval}s); alerts -> "
+          f"{args.out / 'alerts.jsonl'}", flush=True)
+    with _observed(args):
+        try:
+            report = api.watch(
+                args.logdir, out=args.out, window_days=args.window_days,
+                poll_interval=args.poll_interval,
+                error_policy=args.error_policy, resume=args.resume,
+                max_polls=args.max_polls, idle_polls=args.idle_polls,
+                cache=cache, platform=args.platform)
+        except (CheckpointError, ValueError) as exc:
+            raise SystemExit(f"error: {exc}")
+        stats = report.tail_stats
+        print(f"{'resumed' if report.resumed else 'watched'}: "
+              f"{report.polls} polls, {report.records} records, "
+              f"{stats.get('rotations', 0)} rotations survived")
+        print(f"windows: {report.window_count} "
+              f"(report sha256 {report.digest[:16]})")
+        print(f"alerts emitted: {report.alerts_emitted} "
+              f"-> {report.alerts_path}")
+        print(f"report written: {report.report_path}")
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import ServiceConfig, run_service
-
-    if not args.root.is_dir():
-        raise SystemExit(f"error: {args.root} is not a directory")
-    config = ServiceConfig(
-        root=args.root, host=args.host, port=args.port,
-        max_workers=args.max_workers, cache_entries=args.cache_entries,
-        quota_rate=args.quota_rate, quota_burst=args.quota_burst,
-        max_pending=args.max_pending, drain_grace=args.drain_grace,
-        announce=True)
-    try:
-        with _obs_session(args):
-            report = run_service(config)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    except OSError as exc:
-        raise SystemExit(f"error: cannot bind {args.host}:{args.port}: {exc}")
-    cache = report.cache
-    coalesce = report.coalesce
-    print(f"served {report.requests} requests "
-          f"({report.errors} internal errors); "
-          f"{'drained cleanly' if report.drained else 'drain timed out'}")
-    print(f"cache: {cache['hits']} hits / {cache['misses']} misses "
-          f"(hit rate {cache['hit_rate']:.2%}); "
-          f"coalesced {coalesce['coalesced']} requests into "
-          f"{coalesce['flights']} runs")
-    print(f"rejected: {report.quota['rejected']} quota, "
-          f"{report.backpressure['rejected']} backpressure")
-    _note_obs_outputs(args)
+    with _observed(args):
+        try:
+            report = api.serve(
+                args.root, host=args.host, port=args.port,
+                max_workers=args.max_workers,
+                cache_entries=args.cache_entries,
+                quota_rate=args.quota_rate, quota_burst=args.quota_burst,
+                max_pending=args.max_pending, drain_grace=args.drain_grace)
+        except FileNotFoundError:
+            raise  # a root that is not a directory; main() reports it
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}")
+        except (OSError, OverflowError) as exc:
+            # bind() raises OverflowError for a port outside 0-65535
+            raise SystemExit(
+                f"error: cannot bind {args.host}:{args.port}: {exc}")
+        cache = report.cache
+        coalesce = report.coalesce
+        print(f"served {report.requests} requests "
+              f"({report.errors} internal errors); "
+              f"{'drained cleanly' if report.drained else 'drain timed out'}")
+        print(f"cache: {cache['hits']} hits / {cache['misses']} misses "
+              f"(hit rate {cache['hit_rate']:.2%}); "
+              f"coalesced {coalesce['coalesced']} requests into "
+              f"{coalesce['flights']} runs")
+        print(f"rejected: {report.quota['rejected']} quota, "
+              f"{report.backpressure['rejected']} backpressure")
     return 0
 
 
@@ -819,6 +778,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
+#: verbs that load one store and analyse it: load and body share one
+#: collector pause (never the long-lived ``watch`` / ``serve``)
+_BATCH_VERBS = frozenset({"diagnose", "predict", "checkpoint", "timeline"})
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -837,8 +801,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "catalogs": _cmd_catalogs,
         "obs": _cmd_obs,
     }
+    pause = (paused_gc() if args.command in _BATCH_VERBS
+             else contextlib.nullcontext())
     try:
-        return handlers[args.command](args)
+        with pause:
+            return handlers[args.command](args)
+    except FileNotFoundError as exc:
+        # e.g. a logdir that is not a log store (api.load_system)
+        raise SystemExit(f"error: {exc}")
     except IngestionError as exc:
         # strict-policy refusal: a clean diagnostic, not a traceback
         print(f"error: {exc}\n(rerun with --error-policy=skip or "

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.core.artifacts import append_jsonl_line, write_canonical_artifact
+from repro.core.gcpause import paused_gc
 from repro.fleet.artifact import ShardArtifact, ShardArtifactError, read_shard_artifact
 from repro.fleet.rollup import FleetReport, merge_shards, shard_summary
 from repro.fleet.scenario import FLEET_SYSTEM, FleetSpec, materialize_member
@@ -212,9 +213,11 @@ class FleetSupervisor(TaskSupervisor):
             # rebuilt because its artifact rotted on resume, re-reads the
             # member's (unchanged) logs as pure cache hits instead of
             # re-parsing them
-            diag = HolisticDiagnosis.from_store(
-                store.with_cache(True), total_nodes=FLEET_SYSTEM.nodes)
-            report = diag.run()
+            # one collector pause over both steps, as api.diagnose holds
+            with paused_gc():
+                diag = HolisticDiagnosis.from_store(
+                    store.with_cache(True), total_nodes=FLEET_SYSTEM.nodes)
+                report = diag.run()
             summary = shard_summary(member_id, member_seed, spec.days,
                                     FLEET_SYSTEM.nodes, report,
                                     diag.records)

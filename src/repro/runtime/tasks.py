@@ -75,6 +75,12 @@ class SupervisorConfig:
     #: worker processes the scheduler runs at once
     max_workers: int = 1
 
+    def __post_init__(self) -> None:
+        # zero slots would leave the scheduler polling forever
+        if self.max_workers < 1:
+            raise ValueError(
+                f"max_workers must be >= 1, got {self.max_workers}")
+
 
 @dataclass(frozen=True)
 class TaskSpec:

@@ -192,3 +192,28 @@ def test_fleet_report_json_round_trip(tmp_path, cache_dir):
     on_disk = json.loads(sup.journal.report_path.read_text())
     assert FleetReport.from_jsonable(on_disk).coverage == report.coverage
     assert on_disk == report.to_jsonable()
+
+
+def test_shard_runner_pauses_the_collector_over_build_and_run(
+        tmp_path, cache_dir, monkeypatch):
+    """from_store and run share one collector pause in the shard body,
+    as in api.diagnose: the collector is off when run() starts."""
+    import gc
+
+    from repro.core.pipeline import HolisticDiagnosis
+
+    seen = []
+    run = HolisticDiagnosis.run
+
+    def spy(self, *args, **kwargs):
+        seen.append(gc.isenabled())
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(HolisticDiagnosis, "run", spy)
+    sup = make_supervisor(tmp_path / "fleet", cache_dir)
+    member_id = SPEC.member_ids[0]
+    summary = sup._shard_runner(sup.journal, member_id, 0)(SPEC.seed)
+    assert seen == [False]
+    assert gc.isenabled()
+    assert summary["system"] == member_id
+    assert read_shard_artifact(sup.journal.shard_path(member_id))

@@ -308,6 +308,13 @@ def peak_overlap(intervals):
 
 class TestScheduler:
     @supervision
+    @pytest.mark.parametrize("max_workers", [0, -1])
+    def test_max_workers_below_one_is_rejected(self, max_workers):
+        """Zero worker slots would leave the scheduler polling forever."""
+        with pytest.raises(ValueError, match="max_workers must be >= 1"):
+            SupervisorConfig(max_workers=max_workers)
+
+    @supervision
     def test_backoff_never_blocks_other_groups(self, tmp_path, monkeypatch):
         """At one worker, a group waiting out its retry backoff yields
         the slot: the healthy group runs before the retry does."""

@@ -98,9 +98,43 @@ class TestCommands:
         assert "log lines per source" in out
         assert (tmp_path / "cache" / "cases-seed3" / "manifest.json").exists()
 
-    def test_diagnose_missing_dir_errors(self, tmp_path):
-        with pytest.raises(SystemExit, match="not a log store"):
-            main(["diagnose", str(tmp_path / "nowhere")])
+    @pytest.mark.parametrize("verb, extra", [
+        ("diagnose", []),
+        ("diagnose", ["--window-days", "1"]),
+        ("predict", []),
+        ("checkpoint", []),
+        ("timeline", ["c0-0c0s0n0"]),
+        ("watch", ["--out", "OUT"]),
+    ], ids=["diagnose", "diagnose-windowed", "predict", "checkpoint",
+            "timeline", "watch"])
+    def test_missing_store_errors(self, tmp_path, verb, extra):
+        """Every verb reads the store through repro.api, whose refusal
+        main() turns into one clean error."""
+        extra = [str(tmp_path / "out") if a == "OUT" else a for a in extra]
+        with pytest.raises(SystemExit, match="error: .* is not a log store"):
+            main([verb, str(tmp_path / "nowhere"), *extra])
+
+    def test_diagnose_holds_one_collector_pause(self, logdir, monkeypatch,
+                                                capsys):
+        """Load and analyses share one collector pause: the collector is
+        already off when run() starts, so no pass walks the records
+        ingestion just built."""
+        import gc
+
+        from repro.core.pipeline import HolisticDiagnosis
+
+        seen = []
+        run = HolisticDiagnosis.run
+
+        def spy(self, *args, **kwargs):
+            seen.append(gc.isenabled())
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(HolisticDiagnosis, "run", spy)
+        assert gc.isenabled()
+        assert main(["diagnose", str(logdir)]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
 
     def test_diagnose_strict_fails_cleanly(self, logdir, tmp_path, capsys):
         """Strict policy on a damaged store: exit 2 + diagnostic, no
@@ -251,6 +285,29 @@ class TestRunAllCommand:
         with pytest.raises(SystemExit, match="unknown experiments"):
             main(["run-all", "--out", str(tmp_path / "c"),
                   "--no-isolation", "--only", "nope"])
+
+    def test_bad_max_attempts_is_clean_error(self, stub_specs, tmp_path):
+        with pytest.raises(SystemExit, match="error: max_attempts"):
+            main(["run-all", "--out", str(tmp_path / "c"),
+                  "--max-attempts", "0"])
+
+
+class TestOptionErrors:
+    """Bad option values exit with ``error: ...``, never a traceback."""
+
+    def test_fleet_zero_workers(self, tmp_path):
+        with pytest.raises(SystemExit, match="error: max_workers"):
+            main(["fleet", str(tmp_path / "f"), "--systems", "1",
+                  "--days", "1", "--max-workers", "0"])
+
+    def test_serve_port_out_of_range(self, tmp_path):
+        with pytest.raises(SystemExit, match="error: cannot bind .*65535"):
+            main(["serve", str(tmp_path), "--port", "99999"])
+
+    def test_serve_root_not_a_directory(self, tmp_path):
+        with pytest.raises(SystemExit,
+                           match="error: .* is not a directory"):
+            main(["serve", str(tmp_path / "nowhere"), "--port", "0"])
 
 
 class TestCacheCommand:
