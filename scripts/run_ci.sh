@@ -26,8 +26,9 @@
 #      encoder against the original walker on generated values) and
 #      the committed goldens together are the byte contract
 #   5. parse-cache warm-run smoke: focused re-run of the delta-only
-#      ingest properties (warm run parses zero files, changed dirs
-#      parse only the delta); tests/logs/test_parallel.py, plus the
+#      ingest properties of LogStore reads (a warm read parses zero
+#      files, a changed dir parses only the delta;
+#      tests/logs/test_cache.py::TestDeltaOnlyIngest), plus the
 #      entry-validation regressions (tests/logs/test_cache.py) and the
 #      collector-pause contract (tests/core/test_gc_pause.py)
 #   6. BG/Q dialect smoke: the bgq-ras platform catalog end-to-end
@@ -76,9 +77,9 @@ python -m pytest tests/core/test_parity_gate.py -m parity -q
 echo "== parse-cache warm-run smoke (zero files re-parsed) =="
 # part of tier-1 too; the focused re-run isolates the cache property
 # that matters operationally -- a warm second run must serve every
-# file from cache (no parses, no pool fork) and a changed directory
-# must parse only the delta
-python -m pytest tests/logs/test_parallel.py::TestDeltaOnlyIngest -q
+# file from cache (no parses) and a changed directory must parse only
+# the delta
+python -m pytest tests/logs/test_cache.py::TestDeltaOnlyIngest -q
 # every reader judges an entry alike (lookup self-heals what stats and
 # verify call invalid), and the warm path runs without collector passes
 # (the GC pause around ingest, build and analyses; its restore contract)

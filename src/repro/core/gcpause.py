@@ -27,7 +27,7 @@ time (``docs/PERFORMANCE.md`` has the breakdown).
   exit restores exactly that state, on exceptions too -- a caller that
   had the collector disabled keeps it disabled;
 * a child forked during a pause starts at depth 0 with the state from
-  before the pause (``os.register_at_fork``), so pool workers never
+  before the pause (``os.register_at_fork``), so forked workers never
   inherit a scope they cannot close; a scope the child inherited open
   is a no-op when it exits there.
 

@@ -16,10 +16,11 @@ analyses pre-bucketed views instead:
   (:meth:`StreamIndex.window`).
 
 Every bucket preserves *stream order* (the streams are time-sorted by
-construction, see :func:`repro.logs.store.parse_log_file` and the k-way
-merges in :mod:`repro.logs.parallel`), so an analysis that switches from
-scanning the raw list to scanning a bucket sees the records in exactly
-the order it used to -- the refactor is output-identical by design.
+construction, see :func:`repro.logs.store.parse_log_file` and the
+k-way merges in the :class:`~repro.logs.store.LogStore` readers), so an
+analysis that switches from scanning the raw list to scanning a bucket
+sees the records in exactly the order it used to -- the refactor is
+output-identical by design.
 
 The index is also *append-friendly* (the streaming daemon's substrate,
 see :mod:`repro.stream`): :meth:`StreamIndex.append_records` extends the

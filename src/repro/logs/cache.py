@@ -7,7 +7,8 @@ RAS/syslog archives only stays tractable by ingesting incrementally --
 this module is that discipline for the batch readers: a cold run
 populates the cache, a warm run loads parsed records straight from disk
 with **zero re-parse**, and a changed directory parses only the delta
-files (see :func:`repro.logs.parallel.parallel_read`).
+files (every batch read goes through :meth:`ParseCache.parse`, one file
+at a time, from :class:`~repro.logs.store.LogStore`).
 
 Key scheme
 ----------
@@ -36,17 +37,17 @@ raised.  One cached parse therefore serves every policy byte-for-byte.
 
 Wire format and self-healing
 ----------------------------
-The payload is the columnar pool wire format already defined in
-:mod:`repro.logs.parallel` (eight flat columns, pickled with protocol
-5 -- entries are local artifacts written and read only by this
-package), published through the atomic checksummed blob writer in
-:mod:`repro.core.artifacts`.  A rotted entry (truncation, bit flips,
-foreign bytes, undecodable payload) fails its checksum at load, is
-silently evicted, and the file is re-parsed and re-written -- exactly
-the self-healing contract fleet shard artifacts follow.  Writers are
-multi-process safe: the temp-file + ``os.replace`` publication means
-two processes populating one cache directory race benignly (last
-writer wins with identical bytes).
+The payload holds the records as eight flat columns, one per
+:class:`~repro.logs.parsing.ParsedRecord` field (:func:`_pack_records`),
+pickled with protocol 5 -- entries are local artifacts written and read
+only by this package -- and is published through the atomic checksummed
+blob writer in :mod:`repro.core.artifacts`.  A rotted entry
+(truncation, bit flips, foreign bytes, undecodable payload) fails its
+checksum at load, is silently evicted, and the file is re-parsed and
+re-written -- exactly the self-healing contract fleet shard artifacts
+follow.  Writers are multi-process safe: the temp-file + ``os.replace``
+publication means two processes populating one cache directory race
+benignly (last writer wins with identical bytes).
 
 Observability: ``cache.hit`` / ``cache.miss`` / ``cache.invalidate`` /
 ``cache.store`` counters and a ``cache.load`` span per entry probe that
@@ -87,10 +88,10 @@ __all__ = [
 #: checksummed-blob magic of one cache entry file
 CACHE_MAGIC = b"RPRCACHE1\n"
 
-#: bump when the pickled payload layout changes (part of the
-#: environment fingerprint, so a bump orphans -- never corrupts --
-#: every existing entry)
-CACHE_FORMAT = 1
+#: bump when the pickled payload layout or the line rule changes (part
+#: of the environment fingerprint, so a bump orphans -- never corrupts
+#: -- every existing entry).  2: lines end at "\n" only.
+CACHE_FORMAT = 2
 
 #: cache entry file suffix (``<content64>-<env16>.rpc``)
 ENTRY_SUFFIX = ".rpc"
@@ -238,7 +239,7 @@ class ParseCache:
             records, health, malformed = _parse_log_text(
                 text, parser, ErrorPolicy.QUARANTINE, path, retried)
         entry = {
-            "columns": _pack(records),
+            "columns": _pack_records(records),
             "health": _canonical_health_dict(health),
             "malformed": malformed,
         }
@@ -253,11 +254,11 @@ class ParseCache:
     ) -> Optional[tuple[list[ParsedRecord], SourceHealth, list[str]]]:
         """Hit-only probe: the adapted triple on a hit, ``None`` on a miss.
 
-        Never parses.  This is what delta-only ingest is built from:
-        :func:`repro.logs.parallel.parallel_read` probes every file in
-        the parent with this, then ships only the misses -- the *delta*
-        -- to the worker pool.  Counts a miss neither here nor in the
-        metrics; the caller owns what happens to the file next.
+        Never parses and never writes: it answers "is this file's parse
+        already stored?" for tools and tests.  The batch readers call
+        :meth:`parse`, which serves the same hit and parses a miss.
+        Counts a miss neither here nor in the metrics; the caller owns
+        what happens to the file next.
 
         Raises :class:`IngestionError` exactly when the cached parse
         would: an unreadable file, or a ``strict`` policy against an
@@ -355,7 +356,7 @@ class ParseCache:
                 f"malformed line in {path}: {line[:120]!r}",
                 path=str(path), line=line)
         if records is None:
-            records = _unpack(entry["columns"])
+            records = _unpack_records(entry["columns"])
         health = SourceHealth(**entry["health"])
         if policy is ErrorPolicy.QUARANTINE:
             return records, health, list(malformed)
@@ -432,7 +433,7 @@ _ENTRY_ERRORS = (BlobIntegrityError, pickle.UnpicklingError, EOFError,
 
 _ENTRY_KEYS = frozenset(("columns", "health", "malformed"))
 
-#: one column per :class:`ParsedRecord` field (the pool wire format)
+#: one column per :class:`ParsedRecord` field
 _COLUMN_COUNT = len(ParsedRecord.__dataclass_fields__)
 
 _FOOTER_LEN = blob_footer_len(CACHE_MAGIC)
@@ -476,15 +477,31 @@ def _canonical_health_dict(health: SourceHealth) -> dict[str, int]:
     return counts
 
 
-def _pack(records: list[ParsedRecord]):
-    """The columnar pool wire format (shared with the process pool)."""
-    from repro.logs.parallel import _pack_records
-
-    return _pack_records(records)
+#: eight flat columns, one per :class:`ParsedRecord` field
+_RecordColumns = tuple[list, list, list, list, list, list, list, list]
 
 
-def _unpack(columns) -> list[ParsedRecord]:
+def _pack_records(records: list[ParsedRecord]) -> _RecordColumns:
+    """The entry's columnar record format.
+
+    Pickling eight flat lists costs far less than one reduce call per
+    record: the pickler memoises the shared enum singletons and the
+    empty-attrs sentinel once per column instead of once per record.
+    """
+    return (
+        [r.time for r in records],
+        [r.source for r in records],
+        [r.component for r in records],
+        [r.daemon for r in records],
+        [r.event for r in records],
+        [r.attrs for r in records],
+        [r.severity for r in records],
+        [r.body for r in records],
+    )
+
+
+def _unpack_records(columns: _RecordColumns) -> list[ParsedRecord]:
     """Rebuild records from stored columns (single C-level ``map``)."""
-    from repro.logs.parallel import _unpack_records
-
-    return _unpack_records(columns)
+    if not columns[0]:
+        return []
+    return list(map(ParsedRecord, *columns))

@@ -238,15 +238,6 @@ class IngestionHealth:
         return "\n".join(lines)
 
 
-def merge_worker_counts(
-    health: IngestionHealth,
-    source: LogSource,
-    counts: dict[str, int],
-) -> None:
-    """Merge a worker's plain-dict accounting into ``health``."""
-    health.source(source).merge(SourceHealth.from_dict(counts))
-
-
 def conservation_violations(health: IngestionHealth) -> list[str]:
     """Human-readable description of every broken conservation law."""
     problems = []

@@ -71,9 +71,8 @@ class ParsedRecord:
         """Compact pickling: rebuild through ``__init__`` positionally.
 
         The default slots-dataclass reduction (class + state dict) costs
-        several microseconds per record, which dominates the parallel
-        ingestion path where every worker ships its records back through
-        a pipe.
+        several microseconds per record, which dominates any bulk
+        pickle of a record list.
         """
         return (ParsedRecord, (self.time, self.source, self.component,
                                self.daemon, self.event, self.attrs,
@@ -276,7 +275,8 @@ class LineParser:
         scan; the file reader passes it when one whole-file scan already
         proved the file clean (the overwhelmingly common case).
         """
-        line = line.rstrip("\n")
+        # a trailing "\r" is the rest of a CRLF ending, not the body
+        line = line.rstrip("\r\n")
         if not line or line.isspace():
             return _BLANK
         # _structure(), inlined (hot loop; see parse())

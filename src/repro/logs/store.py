@@ -115,11 +115,16 @@ def open_log_text(path: Path) -> IO[str]:
 
     ``.gz`` segments are decompressed transparently; decoding never
     raises -- undecodable bytes become replacement characters, which the
-    hardened parser counts as recovered lines.
+    hardened parser counts as recovered lines.  Line endings come back
+    untranslated (``newline=""``): a line ends at ``"\\n"`` only, the
+    same rule the tailer applies to raw bytes, and
+    :meth:`~repro.logs.parsing.LineParser.parse_ex` strips the
+    ``"\\r"`` of a CRLF ending.
     """
     if path.suffix == ".gz":
-        return gzip.open(path, "rt", encoding="utf-8", errors="replace")
-    return path.open("r", encoding="utf-8", errors="replace")
+        return gzip.open(path, "rt", encoding="utf-8", errors="replace",
+                         newline="")
+    return path.open("r", encoding="utf-8", errors="replace", newline="")
 
 
 def parse_log_file(
@@ -132,8 +137,7 @@ def parse_log_file(
 
     When observability is enabled (:mod:`repro.obs`) every call records
     one ``logs.parse_file`` span carrying the file name plus line/byte
-    accounting, and the ``ingest.*`` counters advance -- in the pool
-    workers just as in-process, buffered and merged at drain.
+    accounting, and the ``ingest.*`` counters advance.
 
     ``cache`` is an optional :class:`repro.logs.cache.ParseCache`: a
     content-hash hit skips the parse entirely (only ``cache.*`` metrics
@@ -214,6 +218,11 @@ def _parse_log_text(
     (small skew is deliberately left for downstream sorting) pays one
     stable sort.  The guarantee is what lets the stream assemblers use
     ``heapq.merge`` instead of re-sorting whole sources.
+
+    Lines end at ``"\\n"`` only, never at the other breaks
+    ``str.splitlines`` knows (``"\\r"``, ``"\\x0c"``, ``"\\x85"``,
+    ...): the tailer splits raw bytes the same way, so a batch read and
+    a watch of one file see the same lines.
     """
     records: list[ParsedRecord] = []
     quarantined: list[str] = []
@@ -236,7 +245,9 @@ def _parse_log_text(
             partial_tail = 1
         text = text[:cut]
     scan = REPLACEMENT_CHAR in text
-    for line in text.splitlines():
+    lines = text.split("\n")
+    lines.pop()  # the empty remainder after the final "\n"
+    for line in lines:
         read += 1
         record, status, repaired = parse_ex(line, scan)
         if record is not None:
@@ -277,12 +288,12 @@ def _parse_log_file(
 ) -> tuple[list[ParsedRecord], SourceHealth, list[str]]:
     """The untraced parse (see :func:`parse_log_file` for the contract).
 
-    Returns ``(records, health, quarantined_lines)``.  The function is
-    process-safe (no writes); quarantine persistence is the caller's job
-    so parallel workers stay pure.  Transient ``OSError`` during the
-    read is retried up to :data:`_IO_RETRIES` times (see
-    :func:`_load_log_text`), so the conservation law holds even across
-    retries -- accounting starts only once the text is in memory.
+    Returns ``(records, health, quarantined_lines)``.  The function
+    writes nothing; quarantine persistence is the caller's job.
+    Transient ``OSError`` during the read is retried up to
+    :data:`_IO_RETRIES` times (see :func:`_load_log_text`), so the
+    conservation law holds even across retries -- accounting starts
+    only once the text is in memory.
     """
     text, retried = _load_log_text(path)
     return _parse_log_text(text, parser, policy, path, retried)
@@ -472,9 +483,9 @@ class LogStore:
     def source_files(self, source: LogSource) -> list[Path]:
         """All files (plain, rotated, or gzipped) holding one source.
 
-        Public API: the parallel reader and the corruption injector use
-        it to enumerate the physical files of a source family.  Rotated
-        segments come first, sorted chronologically by name
+        Public API: the readers, the tailer and the corruption injector
+        use it to enumerate the physical files of a source family.
+        Rotated segments come first, sorted chronologically by name
         (``console-20150105.log`` ...; a gzipped segment sorts exactly
         where its plain twin would), then the live base file and its
         ``.gz`` twin, which hold the newest lines -- so file order is

@@ -6,8 +6,8 @@ records.  These tests hold its contract: the caller's collector state
 comes back exactly, on errors too; scopes nest; only the main thread
 pauses, so a pipeline on a worker thread (the ``serve`` executor) keeps
 the collector on; a child forked mid-pause starts unpaused; and no
-collection runs inside a warm ``from_store``, ``run``,
-``parallel_read`` or ``api.diagnose``.
+collection runs inside a warm ``from_store``, ``run`` or
+``api.diagnose``, nor in a warm ``LogStore.read_all`` under the pause.
 """
 
 from __future__ import annotations
@@ -258,18 +258,19 @@ class TestPipeline:
             [[] for _ in range(2000)]
         assert collections
 
-    def test_parallel_read_restores_the_collector(self, diagnosed_scenario,
+    def test_warm_read_all_restores_the_collector(self, diagnosed_scenario,
                                                   tmp_path, collections):
-        from repro.logs.parallel import parallel_read
-
         _plat, _camp, store = diagnosed_scenario
         cached = store.with_cache(tmp_path / "pc")
-        parallel_read(cached)                                # cold: parse
+        cached.read_all()                                    # cold: parse
         gc.collect()
         collections.clear()
-        by_source = parallel_read(cached)                    # warm: probe
+        # the scope from_store opens around its reads: nothing on the
+        # cache-hit path turns the collector back on
+        with paused_gc():
+            records = cached.read_all()                      # warm: hits
         assert collections == []
-        assert sum(map(len, by_source.values())) > 0
+        assert records
         assert gc.isenabled() and pause_depth() == 0
 
     def test_no_collection_inside_api_diagnose(self, diagnosed_scenario,

@@ -392,3 +392,72 @@ class TestStoreIntegration:
     def test_catalog_fingerprint_is_stable(self):
         assert catalog_fingerprint() == catalog_fingerprint()
         assert len(catalog_fingerprint()) == 64
+
+
+class TestDeltaOnlyIngest:
+    """Store reads through a warm cache parse only what changed."""
+
+    @staticmethod
+    def spy_parses(monkeypatch):
+        """Record the path of every file actually parsed from here on."""
+        import repro.logs.store as store_mod
+
+        parsed = []
+        real = store_mod._parse_log_text
+
+        def spy(text, parser, policy, path, retried=0):
+            parsed.append(path)
+            return real(text, parser, policy, path, retried)
+
+        monkeypatch.setattr(store_mod, "_parse_log_text", spy)
+        return parsed
+
+    def test_cached_store_matches_uncached(self, diagnosed_scenario,
+                                           tmp_path):
+        _, _, store = diagnosed_scenario
+        cached = store.with_cache(tmp_path / "pc")
+        want = snapshot(store)
+        assert snapshot(cached) == want                      # cold
+        assert snapshot(cached) == want                      # warm
+
+    def test_warm_cache_parses_zero_files(self, diagnosed_scenario,
+                                          tmp_path, monkeypatch):
+        _, _, store = diagnosed_scenario
+        cached = store.with_cache(tmp_path / "pc")
+        cached.read_all()                                    # populate
+        parsed = self.spy_parses(monkeypatch)
+        assert cached.read_all()
+        assert parsed == []
+
+    def test_delta_file_is_the_only_parse(self, diagnosed_scenario,
+                                          tmp_path, monkeypatch):
+        _, _, base = diagnosed_scenario
+        root = tmp_path / "copy"
+        shutil.copytree(base.root, root)
+        store = LogStore(root, cache=tmp_path / "pc")
+        before = len(store.read_all())                       # populate
+        # a new daily segment appears: only it should be parsed
+        fresh = root / "p0" / "console-29990101.log"
+        head = (root / "p0" / "console.log").read_text().splitlines(True)
+        fresh.write_text("".join(head[:3]))
+        parsed = self.spy_parses(monkeypatch)
+        assert len(store.read_all()) == before + 3
+        assert parsed == [fresh]
+        # and the next read parses nothing at all
+        parsed.clear()
+        store.read_all()
+        assert parsed == []
+
+    def test_read_populates_one_entry_per_content(self, diagnosed_scenario,
+                                                  tmp_path):
+        _, _, store = diagnosed_scenario
+        cache = ParseCache(tmp_path / "pc")
+        store.with_cache(cache).read_all()
+        # content-addressed: identical files (e.g. two empty sources)
+        # share one entry, so count distinct contents, not files
+        contents = {
+            path.read_text()
+            for s in LogSource for path in store.source_files(s)}
+        assert len(cache.entry_files()) == len(contents)
+        valid, invalid = cache.verify()
+        assert invalid == [] and valid == len(contents)

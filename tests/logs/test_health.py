@@ -11,7 +11,6 @@ from repro.logs.health import (
     SourceHealth,
     conservation_violations,
 )
-from repro.logs.parallel import parallel_read
 from repro.logs.parsing import LineParser
 from repro.logs.record import LogBus, LogRecord, LogSource
 from repro.logs.store import LogStore
@@ -143,62 +142,29 @@ class TestRecovery:
         assert torn.status == "malformed"
 
 
-class TestParallelFallback:
-    def test_worker_failure_falls_back_not_dies(self, tmp_path):
+class TestUnreadableSegment:
+    def test_unreadable_segment_is_skipped_and_noted(self, tmp_path):
+        """A .gz that is not gzip: the read retries, gives up on that one
+        file, keeps every other file, and says so on the report."""
+        from repro.core.pipeline import HolisticDiagnosis
+        from repro.obs import session
+
         store = small_store(tmp_path)
-        # a .gz that is not gzip: the worker's read explodes, the parent
-        # retries serially, fails again, and records the loss
         bad = store.path_for(LogSource.ERD).with_name("event.log.gz")
         bad.write_bytes(b"this is not gzip data")
-        health = IngestionHealth()
-        by_source = parallel_read(store, workers=2, force_parallel=True,
-                                  health=health)
-        assert len(by_source[LogSource.CONSOLE]) == 3
-        assert any("file lost" in note for note in health.notes)
-        assert health.conserved, conservation_violations(health)
-
-    def test_strict_propagates_through_pool(self, tmp_path):
-        store = small_store(tmp_path, ["complete garbage"])
-        with pytest.raises(IngestionError):
-            parallel_read(store, workers=2, force_parallel=True,
-                          error_policy="strict")
-
-    def test_strict_raises_only_after_draining_siblings(self, tmp_path):
-        """A strict violation in one file must not orphan the others:
-        every healthy file's accounting lands in ``health`` before the
-        parent re-raises the (typed, not retried) violation."""
-        bus = LogBus()
-        for t in (10.0, 20.0):
-            bus.emit(LogRecord(t, LogSource.CONSOLE, "c0-0c0s0n0", "mce",
-                               {"bank": 1, "status": "ff"}))
-        bus.emit(LogRecord(15.0, LogSource.ERD, "erd", "ec_heartbeat_stop",
-                           {"src": "c0-0c0s0n1"}))
-        bus.emit(LogRecord(25.0, LogSource.SCHEDULER, "sdb", "slurm_submit",
-                           {"job": 7}))
-        store = LogStore(tmp_path / "logs")
-        store.write(bus, SimClock(), "TT", 1, 60.0)
-        with store.path_for(LogSource.CONSOLE).open("a") as handle:
-            handle.write("complete garbage\n")
-        health = IngestionHealth()
-        with pytest.raises(IngestionError):
-            parallel_read(store, workers=2, force_parallel=True,
-                          error_policy="strict", health=health)
-        for source, expected in ((LogSource.ERD, 1),
-                                 (LogSource.SCHEDULER, 1)):
-            bucket = health.source(source)
-            assert bucket.read == expected
-            assert bucket.parsed == expected
-
-    def test_health_matches_serial_accounting(self, tmp_path):
-        store = small_store(tmp_path, ["complete garbage"])
-        serial = IngestionHealth()
-        list(store.read_source(LogSource.CONSOLE, policy="skip",
-                               health=serial))
-        # fresh quarantine-free copy of the accounting via parallel_read
-        pooled = IngestionHealth()
-        parallel_read(store, error_policy="skip", health=pooled)
-        assert (serial.source(LogSource.CONSOLE).as_dict()
-                == pooled.source(LogSource.CONSOLE).as_dict())
+        note = "unreadable file skipped: event.log.gz"
+        for cache in (None, tmp_path / "pc"):
+            health = IngestionHealth()
+            with session() as obs:
+                diag = HolisticDiagnosis.from_store(store, health=health,
+                                                    cache=cache)
+            assert obs.metrics.counter("ingest.files_lost").value == 1
+            assert len(diag.internal) == 3
+            assert note in health.notes
+            assert health.conserved, conservation_violations(health)
+            erd = health.source(LogSource.ERD)
+            assert (erd.files, erd.retried_files) == (2, 1)
+            assert health.degraded and note in diag.degradation_reasons()
 
 
 class TestHealthModel:

@@ -76,6 +76,59 @@ class TestIncrementalEqualsBatch:
         assert inc.records == len(expected)
 
 
+#: characters ``str.splitlines`` breaks a line at, besides "\n"
+SPLITLINES_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                     "\u2028", "\u2029")
+
+
+class TestLineRule:
+    """Batch, cached batch and the tailer end a line at "\\n" only, and
+    drop one "\\r" right before it."""
+
+    @pytest.mark.parametrize("case", [
+        *(pytest.param(ch, id=f"mid-line-{ord(ch):#x}")
+          for ch in SPLITLINES_BREAKS),
+        "crlf", "crlf-gz"])
+    def test_batch_cache_and_tailer_split_alike(self, small_store, tmp_path,
+                                                case):
+        clean, _ = batch_records(small_store)
+        path = small_store.path_for(LogSource.CONSOLE)
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        if case.startswith("crlf"):
+            text = "".join(line + "\r\n" for line in lines)
+        else:
+            text = "".join(line[:len(line) // 2] + case
+                           + line[len(line) // 2:] + "\n" for line in lines)
+        data = text.encode("utf-8")
+        if case == "crlf-gz":
+            path.unlink()
+            path = path.with_name(path.name + ".gz")
+            data = gzip.compress(data)
+        path.write_bytes(data)
+
+        want, want_health = batch_records(small_store)
+        assert want_health.source(LogSource.CONSOLE).read == len(lines)
+        if case.startswith("crlf"):
+            assert canonical_json(want) == canonical_json(clean)
+
+        def assert_same(records, health):
+            assert canonical_json(records) == canonical_json(want)
+            assert health.notes == want_health.notes
+            for source in LogSource:
+                assert (health.source(source).as_dict()
+                        == want_health.source(source).as_dict())
+
+        cached = small_store.with_cache(tmp_path / "pc")
+        assert_same(*batch_records(cached))                   # cold
+        assert_same(*batch_records(cached))                   # warm
+        assert cached.cache.hits
+        tailer = LogTailer(small_store)
+        inc = tailer.poll()
+        tailer.finalize_health()
+        assert_same(inc.internal + inc.external + inc.scheduler,
+                    tailer.health)
+
+
 class TestRotation:
     def test_rename_rotation_never_rereads(self, tmp_path):
         writer, tailer = make_pair(tmp_path)
