@@ -28,7 +28,10 @@
 #   5. parse-cache warm-run smoke: focused re-run of the delta-only
 #      ingest properties of LogStore reads (a warm read parses zero
 #      files, a changed dir parses only the delta;
-#      tests/logs/test_cache.py::TestDeltaOnlyIngest), plus the
+#      tests/logs/test_cache.py::TestDeltaOnlyIngest) and of appended
+#      files (a grown file parses only its new lines, and cached ==
+#      uncached across append, rotation, copytruncate, gzip, vanish
+#      and torn tails; tests/logs/test_cache.py::TestAppendDelta), plus the
 #      entry-validation regressions (tests/logs/test_cache.py) and the
 #      collector-pause contract (tests/core/test_gc_pause.py)
 #   6. BG/Q dialect smoke: the bgq-ras platform catalog end-to-end
@@ -78,8 +81,9 @@ echo "== parse-cache warm-run smoke (zero files re-parsed) =="
 # part of tier-1 too; the focused re-run isolates the cache property
 # that matters operationally -- a warm second run must serve every
 # file from cache (no parses) and a changed directory must parse only
-# the delta
-python -m pytest tests/logs/test_cache.py::TestDeltaOnlyIngest -q
+# the delta, and an appended file must parse only its new lines
+python -m pytest tests/logs/test_cache.py::TestDeltaOnlyIngest \
+    tests/logs/test_cache.py::TestAppendDelta -q
 # every reader judges an entry alike (lookup self-heals what stats and
 # verify call invalid), and the warm path runs without collector passes
 # (the GC pause around ingest, build and analyses; its restore contract)

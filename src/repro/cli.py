@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text in (
         ("stats", "entry count, disk bytes, records, and -- when a "
                   "--metrics snapshot is given -- the hit rate"),
-        ("clear", "delete every cache entry"),
+        ("clear", "delete every cache entry and path record"),
         ("verify", "validate every entry's checksum (healing rot)"),
     ):
         pc = cache_sub.add_parser(name, help=text)

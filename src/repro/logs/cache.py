@@ -6,9 +6,10 @@ log file from scratch.  Production failure-analysis over years of
 RAS/syslog archives only stays tractable by ingesting incrementally --
 this module is that discipline for the batch readers: a cold run
 populates the cache, a warm run loads parsed records straight from disk
-with **zero re-parse**, and a changed directory parses only the delta
-files (every batch read goes through :meth:`ParseCache.parse`, one file
-at a time, from :class:`~repro.logs.store.LogStore`).
+with **zero re-parse**, a changed directory parses only the changed
+files, and a file that grew by appends parses only its new lines
+(every batch read goes through :meth:`ParseCache.parse`, one file at a
+time, from :class:`~repro.logs.store.LogStore`).
 
 Key scheme
 ----------
@@ -26,6 +27,36 @@ An entry is addressed by ``(file content hash, environment fingerprint)``:
   Changing any of them changes the fingerprint, so stale entries are
   simply never *addressed* again -- invalidation is automatic and
   needs no scanning (``repro cache clear`` garbage-collects orphans).
+
+Path records and appended files
+-------------------------------
+Content addressing alone would re-parse a live, growing file from its
+first line after every append and keep one whole-file entry per
+version.  So each ``(resolved path, environment fingerprint)`` also
+has a small **path record** under ``<cache>/paths/``: the content key
+of the entry last stored or served for that path, the consumed length
+``L`` (the text up to its last ``"\n"``; a torn tail is not consumed)
+and the sha256 of that consumed prefix.  On an exact miss the file is
+**delta-parsed** when the text is longer than ``L``, ``text[:L]``
+hashes to the recorded prefix digest, and the recorded entry loads and
+passes its checksum.  Then only ``text[L:]`` is parsed, with the
+parser's skew state resumed at the prefix's latest stamp (the entry's
+last time); the new records are appended to the stored ones (one
+stable sort only when a new record is earlier than that stamp, which
+yields exactly a full parse's order), the line accounting is summed,
+and the new malformed lines follow the stored ones.  The full new
+entry is stored, the record repointed, and the old entry unlinked, so
+a growing file keeps one entry.  Anything short of that -- no record,
+a rotted record or base entry, a rewritten or truncated file -- is a
+full parse that rewrites the record.  One hash pass serves all checks:
+the hasher is copied at ``L`` and at the consumed length on its way to
+the content key.
+
+Known trade-off: two paths holding identical content share one entry;
+when one of them grows, its delta unlinks the shared entry and the
+other path re-parses once on its next read.  That costs time, never
+bytes.  Records of paths that no longer exist stay until ``repro cache
+clear``; each is under 300 bytes.
 
 Entries are **policy-independent**: the parse is stored in canonical
 form (records + line accounting + the malformed raw lines), and the
@@ -49,10 +80,12 @@ follow.  Writers are multi-process safe: the temp-file + ``os.replace``
 publication means two processes populating one cache directory race
 benignly (last writer wins with identical bytes).
 
-Observability: ``cache.hit`` / ``cache.miss`` / ``cache.invalidate`` /
-``cache.store`` counters and a ``cache.load`` span per entry probe that
+Observability: ``cache.hit`` / ``cache.miss`` / ``cache.delta`` /
+``cache.invalidate`` / ``cache.store`` counters (a delta parse counts
+as a miss and a delta) and a ``cache.load`` span per entry probe that
 times the read, checksum and decode (a rotted entry's span carries an
-``error`` tag, an absent entry's a ``miss`` tag).  Every reader --
+``error`` tag, an absent entry's a ``miss`` tag); a delta probes two
+entries, the exact key and the recorded base.  Every reader --
 lookup, ``stats``, ``verify`` -- validates an entry through the one
 :func:`_decode_entry`, so they never disagree about which entries are
 sound.
@@ -61,13 +94,17 @@ sound.
 from __future__ import annotations
 
 import hashlib
+import json
+import os
 import pickle
+import re
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.core.artifacts import (
     BlobIntegrityError,
     BlobMissingError,
+    atomic_write_text,
     blob_footer_len,
     read_checksummed_blob,
     write_checksummed_blob,
@@ -95,6 +132,9 @@ CACHE_FORMAT = 2
 
 #: cache entry file suffix (``<content64>-<env16>.rpc``)
 ENTRY_SUFFIX = ".rpc"
+
+#: subdirectory of the path records (``paths/<path-and-env64>.json``)
+PATHS_DIRNAME = "paths"
 
 _catalog_fp: dict[str, str] = {}
 
@@ -130,9 +170,34 @@ def catalog_fingerprint(catalog=None) -> str:
     return fp
 
 
-def _content_hash(text: str) -> str:
-    """sha256 of one file's decoded text (the content-identity key)."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _content_hash(text: str,
+                  cuts: tuple[int, ...] = ()) -> tuple[str, list[str]]:
+    """sha256 of one file's decoded text, plus digests of its prefixes.
+
+    Returns ``(content key, [digest of text[:cut] per cut])`` from one
+    pass: the hasher is copied at each (ascending) cut on its way to the
+    end of the text, so no byte is hashed twice.
+    """
+    hasher = hashlib.sha256()
+    prefixes = []
+    start = 0
+    for cut in cuts:
+        hasher.update(text[start:cut].encode("utf-8"))
+        prefixes.append(hasher.copy().hexdigest())
+        start = cut
+    hasher.update(text[start:].encode("utf-8"))
+    return hasher.hexdigest(), prefixes
+
+
+class PathRecord(NamedTuple):
+    """What the cache last stored or served for one path (see module doc)."""
+
+    #: content key of the entry
+    key: str
+    #: consumed length: the text up to its last "\n"
+    length: int
+    #: sha256 of the consumed prefix
+    prefix: str
 
 
 class CacheStats:
@@ -164,7 +229,10 @@ class ParseCache:
         self.root = Path(root)
         #: in-process tallies (mirrored to obs metrics when enabled)
         self.hits = 0
+        #: files parsed, whole or (a delta) their appended lines only
         self.misses = 0
+        #: the misses that parsed only appended lines
+        self.deltas = 0
         self.invalidated = 0
 
     # ------------------------------------------------------------------
@@ -185,6 +253,12 @@ class ParseCache:
         return (self.root / content_hash[:2]
                 / f"{content_hash}-{env[:16]}{ENTRY_SUFFIX}")
 
+    def _record_path(self, path: Path, env: str) -> Path:
+        """Where the path record of one file under one environment lives."""
+        raw = f"{os.path.realpath(path)}\x00{env}".encode()
+        return (self.root / PATHS_DIRNAME
+                / f"{hashlib.sha256(raw).hexdigest()}.json")
+
     # ------------------------------------------------------------------
     # the cached parse
     # ------------------------------------------------------------------
@@ -197,9 +271,11 @@ class ParseCache:
         """Drop-in replacement for the uncached per-file parse.
 
         Reads and hashes the file once; a valid entry yields the stored
-        columns (zero re-parse), a miss parses the *same* text and
-        stores the canonical entry before returning.  Output is
-        byte-identical to :func:`repro.logs.store.parse_log_file`
+        columns (zero re-parse).  A miss on a file that only grew since
+        its path record was written parses just the appended lines (see
+        the module doc); any other miss parses the *same* text whole.
+        Either way the canonical entry is stored before returning.
+        Output is byte-identical to :func:`repro.logs.store.parse_log_file`
         without a cache, for every error policy -- including the
         ``strict`` refusal, which is re-raised from the cached malformed
         lines with the identical message.
@@ -207,44 +283,93 @@ class ParseCache:
         # imported here: store.py deliberately does not import this
         # module at top level (it passes the cache through by duck
         # typing), so the two stay import-cycle free
-        from repro.logs.store import (
-            _emit_ingest_metrics,
-            _load_log_text,
-            _parse_log_text,
-        )
+        from repro.logs.store import _TIME_KEY, _load_log_text
 
         text, retried = _load_log_text(path)
-        content = _content_hash(text)
         env = self._env_fingerprint(parser)
+        record_path = self._record_path(path, env)
+        record = _read_path_record(record_path)
+        consumed = text.rfind("\n") + 1
+        # a delta needs new text after a prefix the record vouches for
+        # (a recorded prefix ends at "\n", so it is never past ``consumed``)
+        resumable = (record is not None and record.length <= consumed
+                     and record.length < len(text))
+        cuts = (record.length, consumed) if resumable else (consumed,)
+        content, prefixes = _content_hash(text, cuts)
+        current = PathRecord(content, consumed, prefixes[-1])
         entry = self._load_entry(self.entry_path(content, env), path)
         if entry is not None:
+            self.hits += 1
+            _tally("cache.hit")
+            if record != current:
+                self._write_record(record_path, current)
             return self._adapt(entry, policy, path)
         self.misses += 1
-        if OBS.enabled:
-            OBS.metrics.counter("cache.miss").inc()
-        # canonical parse: collect malformed lines (quarantine
-        # semantics) so one entry serves every policy; the requested
-        # policy is applied by _adapt below, including the strict raise
-        if OBS.enabled:
-            with OBS.span("logs.parse_file", "ingest", file=path.name,
-                          cache="miss") as span:
-                records, health, malformed = _parse_log_text(
-                    text, parser, ErrorPolicy.QUARANTINE, path, retried)
-                span.add(records=health.parsed, read=health.read,
-                         quarantined=health.quarantined,
-                         recovered=health.recovered,
-                         bytes=path.stat().st_size)
-                _emit_ingest_metrics(health)
+        _tally("cache.miss")
+        base = None
+        if resumable and prefixes[0] == record.prefix:
+            base = self._load_entry(self.entry_path(record.key, env), path)
+        if base is None:
+            records, health, malformed = self._parse_text(
+                text, parser, path, retried, "miss")
+            columns = _pack_records(records)
         else:
-            records, health, malformed = _parse_log_text(
-                text, parser, ErrorPolicy.QUARANTINE, path, retried)
+            self.deltas += 1
+            _tally("cache.delta")
+            stored = base["columns"]
+            resume_at = stored[0][-1] if stored[0] else None
+            new, delta_health, new_malformed = self._parse_text(
+                text[record.length:], parser, path, retried, "delta",
+                resume_at=resume_at)
+            records = _unpack_records(stored) + new
+            if new and resume_at is not None and new[0].time < resume_at:
+                # backward jitter across the boundary: the one stable
+                # sort a full parse would have run over the same lines
+                records.sort(key=_TIME_KEY)
+                columns = _pack_records(records)
+            else:
+                columns = tuple(old + added for old, added
+                                in zip(stored, _pack_records(new)))
+            health = _joined_health(base["health"], delta_health)
+            malformed = base["malformed"] + new_malformed
         entry = {
-            "columns": _pack_records(records),
+            "columns": columns,
             "health": _canonical_health_dict(health),
             "malformed": malformed,
         }
         self._store_entry(self.entry_path(content, env), entry)
+        if record != current:
+            self._write_record(record_path, current)
+        if base is not None:
+            # the grown file's previous version is superseded
+            _unlink(self.entry_path(record.key, env))
         return self._adapt(entry, policy, path, records=records)
+
+    def _parse_text(self, text: str, parser: LineParser, path: Path,
+                    retried: int, tag: str, **resume):
+        """The canonical parse of (the new part of) one file, traced.
+
+        Collects malformed lines (quarantine semantics) so one entry
+        serves every policy; :meth:`_adapt` applies the requested one,
+        including the strict raise.  ``resume`` carries ``resume_at``
+        for a delta (see :func:`repro.logs.store._parse_log_text`).
+        """
+        from repro.logs.store import _emit_ingest_metrics, _parse_log_text
+
+        if not OBS.enabled:
+            return _parse_log_text(text, parser, ErrorPolicy.QUARANTINE,
+                                   path, retried, **resume)
+        with OBS.span("logs.parse_file", "ingest", file=path.name,
+                      cache=tag) as span:
+            result = _parse_log_text(text, parser, ErrorPolicy.QUARANTINE,
+                                     path, retried, **resume)
+            health = result[1]
+            span.add(records=health.parsed, read=health.read,
+                     quarantined=health.quarantined,
+                     recovered=health.recovered,
+                     bytes=path.stat().st_size)
+            _emit_ingest_metrics(health)
+        return result
 
     def lookup(
         self,
@@ -254,11 +379,11 @@ class ParseCache:
     ) -> Optional[tuple[list[ParsedRecord], SourceHealth, list[str]]]:
         """Hit-only probe: the adapted triple on a hit, ``None`` on a miss.
 
-        Never parses and never writes: it answers "is this file's parse
-        already stored?" for tools and tests.  The batch readers call
-        :meth:`parse`, which serves the same hit and parses a miss.
-        Counts a miss neither here nor in the metrics; the caller owns
-        what happens to the file next.
+        Never parses and never writes (not even a path record): it
+        answers "is this file's parse already stored?" for tools and
+        tests.  The batch readers call :meth:`parse`, which serves the
+        same hit and parses a miss.  Counts a miss neither here nor in
+        the metrics; the caller owns what happens to the file next.
 
         Raises :class:`IngestionError` exactly when the cached parse
         would: an unreadable file, or a ``strict`` policy against an
@@ -267,11 +392,13 @@ class ParseCache:
         from repro.logs.store import _load_log_text
 
         text, _retried = _load_log_text(path)
+        content, _ = _content_hash(text)
         entry = self._load_entry(
-            self.entry_path(_content_hash(text),
-                            self._env_fingerprint(parser)), path)
+            self.entry_path(content, self._env_fingerprint(parser)), path)
         if entry is None:
             return None
+        self.hits += 1
+        _tally("cache.hit")
         return self._adapt(entry, policy, path)
 
     # ------------------------------------------------------------------
@@ -281,6 +408,8 @@ class ParseCache:
         """Load and validate one entry; evict and return None on rot.
 
         A missing entry is a plain miss: no invalidation, no eviction.
+        Hits are tallied by the caller: a delta's base load is part of
+        a miss.
         """
         # the span times the read, checksum and decode of the entry; a
         # rotted entry closes it with an ``error`` tag, a missing one
@@ -302,16 +431,8 @@ class ParseCache:
             # self-heal: a rotted entry is "no entry", never a crash --
             # evict it so the re-parse below rewrites a healthy one
             self.invalidated += 1
-            if OBS.enabled:
-                OBS.metrics.counter("cache.invalidate").inc()
-            try:
-                entry_path.unlink()
-            except OSError:
-                pass
-            return None
-        self.hits += 1
-        if OBS.enabled:
-            OBS.metrics.counter("cache.hit").inc()
+            _tally("cache.invalidate")
+            _unlink(entry_path)
         return entry
 
     def _store_entry(self, entry_path: Path, entry: dict) -> None:
@@ -331,6 +452,14 @@ class ParseCache:
         if OBS.enabled:
             OBS.metrics.counter("cache.store").inc()
             OBS.metrics.counter("cache.stored_bytes").inc(len(payload))
+
+    @staticmethod
+    def _write_record(record_path: Path, record: PathRecord) -> None:
+        """Atomically publish one path record (a failed write is no record)."""
+        try:
+            atomic_write_text(record_path, json.dumps(record._asdict()))
+        except OSError:
+            pass
 
     # ------------------------------------------------------------------
     # policy adaptation
@@ -391,7 +520,7 @@ class ParseCache:
         return stats
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every entry and path record; returns the entries removed."""
         removed = 0
         for entry_path in self.entry_files():
             try:
@@ -399,6 +528,8 @@ class ParseCache:
                 removed += 1
             except OSError:
                 pass
+        for record_path in (self.root / PATHS_DIRNAME).glob("*.json"):
+            _unlink(record_path)
         return removed
 
     def verify(self, heal: bool = True) -> tuple[int, list[Path]]:
@@ -417,10 +548,7 @@ class ParseCache:
             except _ENTRY_ERRORS:
                 invalid.append(entry_path)
                 if heal:
-                    try:
-                        entry_path.unlink()
-                    except OSError:
-                        pass
+                    _unlink(entry_path)
         return valid, invalid
 
 
@@ -460,9 +588,54 @@ def _decode_entry(payload: bytes) -> dict:
     return entry
 
 
+def _tally(name: str) -> None:
+    """Advance one ``cache.*`` obs counter (no-op when obs is off)."""
+    if OBS.enabled:
+        OBS.metrics.counter(name).inc()
+
+
+def _unlink(path: Path) -> None:
+    """Remove one cache file if it is still there."""
+    try:
+        path.unlink()
+    except OSError:
+        pass
+
+
+_HEX64 = re.compile(r"[0-9a-f]{64}\Z")
+
+
+def _read_path_record(record_path: Path) -> Optional[PathRecord]:
+    """Load one path record; unreadable or malformed is no record."""
+    try:
+        data = json.loads(record_path.read_bytes())
+        record = PathRecord(data["key"], data["length"], data["prefix"])
+        valid = (type(record.length) is int and record.length >= 0
+                 and _HEX64.match(record.key) is not None
+                 and _HEX64.match(record.prefix) is not None)
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
+    return record if valid else None
+
+
 def _read_entry(entry_path: Path) -> dict:
     """Read, checksum and decode one entry file (maintenance readers)."""
     return _decode_entry(read_checksummed_blob(entry_path, CACHE_MAGIC))
+
+
+def _joined_health(stored: dict[str, int],
+                   delta: SourceHealth) -> SourceHealth:
+    """One file's accounting: its stored prefix plus this read's delta.
+
+    Line counts add up; the file is still one file, and
+    ``retried_files`` and ``partial_tail`` describe this read.
+    """
+    health = SourceHealth(**stored)
+    health.merge(delta)
+    health.files = delta.files
+    health.retried_files = delta.retried_files
+    health.partial_tail = delta.partial_tail
+    return health
 
 
 def _canonical_health_dict(health: SourceHealth) -> dict[str, int]:

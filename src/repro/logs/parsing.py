@@ -167,9 +167,15 @@ class LineParser:
         #: whole-second stamp prefix -> integer microseconds since epoch
         self._prefix_us: dict[str, int] = {}
 
-    def reset(self) -> None:
-        """Forget skew state (call at each file boundary)."""
-        self._last_time = None
+    def reset(self, last_time: Optional[float] = None) -> None:
+        """Forget skew state (call at each file boundary).
+
+        ``last_time`` resumes it instead: the latest good stamp of the
+        lines already parsed from the same file, so parsing the rest of
+        a file repairs its lines exactly as one pass over the whole
+        file would.
+        """
+        self._last_time = last_time
 
     def _stamp_seconds(self, stamp: str) -> float:
         """Simulation seconds for a stamp (raises ValueError when torn).

@@ -25,7 +25,7 @@ import json
 import time as _time
 import warnings
 from dataclasses import dataclass
-from heapq import merge as _heapq_merge
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional
@@ -70,17 +70,19 @@ _TIME_KEY = attrgetter("time")
 def _merge_records(lists: list[list[ParsedRecord]]) -> list[ParsedRecord]:
     """Merge per-file record lists that are each already time-sorted.
 
-    ``heapq.merge`` is O(n log k) over k files instead of the O(n log n)
-    full re-sort the readers used to do, and ties resolve to the
-    earliest input list -- exactly the order concatenation followed by a
-    stable sort produced, so downstream output is byte-identical.
+    One stable Timsort over the concatenation: it finds each input list
+    as an ascending run and merges the runs in C, several times faster
+    than ``heapq.merge``'s per-record Python key calls.  Stability makes
+    ties resolve to the earliest input list (the earlier file, then
+    file order), the same rule ``heapq.merge`` applied, so downstream
+    output is byte-identical.
     """
     lists = [records for records in lists if records]
     if not lists:
         return []
     if len(lists) == 1:
         return lists[0]
-    return list(_heapq_merge(*lists, key=_TIME_KEY))
+    return sorted(chain.from_iterable(lists), key=_TIME_KEY)
 
 
 _SOURCE_PATHS: dict[LogSource, str] = {
@@ -205,6 +207,7 @@ def _parse_log_text(
     policy: ErrorPolicy,
     path: Path,
     retried: int = 0,
+    resume_at: Optional[float] = None,
 ) -> tuple[list[ParsedRecord], SourceHealth, list[str]]:
     """Parse one file's already-loaded text (the pure half of the parse).
 
@@ -216,8 +219,14 @@ def _parse_log_text(
     order, so this is normally a free pass over an already-ordered list;
     only a file whose stamps carry sub-``max_skew`` backwards jitter
     (small skew is deliberately left for downstream sorting) pays one
-    stable sort.  The guarantee is what lets the stream assemblers use
-    ``heapq.merge`` instead of re-sorting whole sources.
+    stable sort.  The guarantee is what lets the stream assemblers
+    merge sorted runs instead of re-sorting whole sources.
+
+    ``resume_at`` parses the rest of a file whose earlier lines are
+    already parsed: ``text`` starts after a ``"\\n"`` and the parser's
+    skew state resumes at the latest stamp of those lines (``None``:
+    they held no record), so clamping and stamp repair match one pass
+    over the whole file.  The parse cache uses it for appended files.
 
     Lines end at ``"\\n"`` only, never at the other breaks
     ``str.splitlines`` knows (``"\\r"``, ``"\\x0c"``, ``"\\x85"``,
@@ -231,7 +240,7 @@ def _parse_log_text(
     read = parsed = recovered = ignored = 0
     last_time = float("-inf")
     in_order = True
-    parser.reset()
+    parser.reset(resume_at)
     parse_ex = parser.parse_ex
     append = records.append
     # a file whose last line has no newline is a mid-write snapshot,
@@ -561,9 +570,9 @@ class LogStore:
     ) -> Iterator[list[ParsedRecord]]:
         """One time-sorted record list per physical file of a source.
 
-        The per-file granularity is what the stream assemblers feed to
-        ``heapq.merge``; :meth:`read_source` flattens it for callers who
-        want a single stream.
+        The per-file granularity is what the stream assemblers merge
+        (:func:`_merge_records`); :meth:`read_source` flattens it for
+        callers who want a single stream.
         """
         policy = ErrorPolicy.coerce(policy)
         clock = clock or self.manifest().clock()

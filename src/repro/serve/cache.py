@@ -30,9 +30,11 @@ mirrors land in obs as ``serve.cache.hit`` / ``serve.cache.miss``.
 from __future__ import annotations
 
 import hashlib
+import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
+from stat import S_ISREG
 from typing import Optional
 
 from repro.core.serialize import canonical_json
@@ -44,6 +46,9 @@ __all__ = [
     "logdir_fingerprint",
     "request_key",
 ]
+
+#: top-level store directories the fingerprint never walks
+_DERIVED_DIRS = frozenset((".parse-cache", "quarantine"))
 
 
 def logdir_fingerprint(logdir: Path | str,
@@ -72,17 +77,29 @@ def logdir_fingerprint(logdir: Path | str,
         hasher.update(manifest.read_bytes())
     hasher.update(b"\x00")
     entries = []
-    for path in root.rglob("*"):
-        if not path.is_file() or path.name == "manifest.json":
-            continue
-        rel = path.relative_to(root).as_posix()
-        # the store's own parse cache and quarantine files are derived
-        # artifacts of reading, not content: a cache populated by the
-        # first request must not invalidate the second
-        if rel.startswith((".parse-cache/", "quarantine/")):
-            continue
-        stat = path.stat()
-        entries.append(f"{rel}\x00{stat.st_size}\x00{stat.st_mtime_ns}")
+    top = os.fspath(root)
+    for dirpath, dirnames, filenames in os.walk(top):
+        if dirpath == top:
+            # the store's own parse cache and quarantine files are
+            # derived artifacts of reading, not content: a cache
+            # populated by the first request must not invalidate the
+            # second -- pruned before the walk stats anything in them
+            dirnames[:] = [name for name in dirnames
+                           if name not in _DERIVED_DIRS]
+            rel_dir = ""
+        else:
+            rel_dir = os.path.relpath(dirpath, top).replace(os.sep, "/") + "/"
+        for name in filenames:
+            rel = rel_dir + name
+            if rel == "manifest.json":
+                continue
+            try:
+                stat = os.stat(os.path.join(dirpath, name))
+            except OSError:
+                continue  # a dangling link, or gone since the listing
+            if S_ISREG(stat.st_mode):
+                entries.append(
+                    f"{rel}\x00{stat.st_size}\x00{stat.st_mtime_ns}")
     for entry in sorted(entries):
         hasher.update(entry.encode())
         hasher.update(b"\x01")

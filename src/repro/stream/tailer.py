@@ -57,7 +57,7 @@ __all__ = ["LogTailer", "TailedFile", "PollIncrement", "TailStats"]
 PREFIX_LEN = 64
 
 #: the source order the batch assemblers use -- increments must merge in
-#: the same order so heapq tie-breaking stays batch-identical
+#: the same order so equal-time ties break as in the batch merge
 INTERNAL_SOURCES = (LogSource.CONSOLE, LogSource.MESSAGES, LogSource.CONSUMER)
 EXTERNAL_SOURCES = (LogSource.CONTROLLER, LogSource.ERD)
 SCHEDULER_SOURCES = (LogSource.SCHEDULER,)

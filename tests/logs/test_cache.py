@@ -461,3 +461,207 @@ class TestDeltaOnlyIngest:
         assert len(cache.entry_files()) == len(contents)
         valid, invalid = cache.verify()
         assert invalid == [] and valid == len(contents)
+
+
+def read_state(store, policy=ErrorPolicy.QUARANTINE):
+    """Records, health and the quarantine files of one read."""
+    records, health = snapshot(store, policy)
+    quarantine = {
+        source: path.read_text()
+        for source in LogSource
+        if (path := store.quarantine_path(source)).is_file()}
+    return records, health, quarantine
+
+
+def console_line(stamp: str, body: str = "Machine Check Exception: 1 "
+                                         "Bank 1: ff") -> str:
+    return f"{stamp} c0-0c0s0n0 kernel: {body}\n"
+
+
+class TestAppendDelta:
+    """An appended file parses only its new lines, with full-parse bytes."""
+
+    @staticmethod
+    def spy_texts(monkeypatch):
+        """Record the text of every parse from here on."""
+        import repro.logs.store as store_mod
+
+        texts = []
+        real = store_mod._parse_log_text
+
+        def spy(text, *args, **kwargs):
+            texts.append(text)
+            return real(text, *args, **kwargs)
+
+        monkeypatch.setattr(store_mod, "_parse_log_text", spy)
+        return texts
+
+    @staticmethod
+    def grown(tmp_path, *lines, malformed=0):
+        """A small store read once through a cache, then appended to."""
+        store = small_store(tmp_path / "logs", malformed=malformed)
+        cache = ParseCache(tmp_path / "pc")
+        cached = store.with_cache(cache)
+        read_state(cached)
+        with (store.root / "p0/console.log").open("a") as handle:
+            handle.write("".join(lines))
+        return store, cached, cache
+
+    def test_lifecycle_cached_equals_uncached(self, diagnosed_scenario,
+                                              tmp_path):
+        from repro.stream.replay import ReplayWriter
+
+        _, _, complete = diagnosed_scenario
+        writer = ReplayWriter(complete.root, tmp_path / "live")
+        cache = ParseCache(tmp_path / "pc")
+        cached = LogStore(writer.live_root, cache=cache)
+        plain = LogStore(writer.live_root)
+        faults = [
+            None,
+            None,
+            lambda: writer.rotate(LogSource.CONSOLE),
+            lambda: writer.copytruncate(LogSource.MESSAGES),
+            lambda: writer.gzip_rotated(LogSource.CONSOLE),
+            lambda: writer.vanish(LogSource.ERD),
+            lambda: writer.restore(LogSource.ERD),
+            lambda: writer.tear_tail(LogSource.CONTROLLER),
+            lambda: writer.tear_tail(LogSource.CONSUMER, keep=3),
+        ]
+        t = 0.0
+        for fault in faults:
+            if fault is not None:
+                fault()
+                assert read_state(cached) == read_state(plain)
+            t += 8 * 3600.0
+            writer.feed_until(t)
+            assert read_state(cached) == read_state(plain)
+        writer.feed_all()
+        assert read_state(cached) == read_state(plain)
+        assert cache.deltas > 0
+
+    def test_only_the_appended_text_is_parsed(self, tmp_path, monkeypatch):
+        tail = console_line("2015-01-05T00:00:09.000000")
+        store, cached, cache = self.grown(tmp_path, tail)
+        texts = self.spy_texts(monkeypatch)
+        assert read_state(cached) == read_state(store)
+        assert texts[0] == tail                 # the cached read
+        assert (cache.misses, cache.deltas) == (7, 1)
+
+    def test_far_behind_line_is_clamped_as_in_a_full_parse(self, tmp_path):
+        # two hours behind the prefix's last stamp (00:00:05): a full
+        # parse clamps it to 00:00:05, which needs the resumed state
+        store, cached, cache = self.grown(
+            tmp_path, console_line("2015-01-04T22:00:00.000000"))
+        got, want = read_state(cached), read_state(store)
+        assert got == want and cache.deltas == 1
+        console = want[1]["console"]
+        assert console["recovered"] == 1
+        assert [r[0] for r in want[0] if r[3] == "kernel"] == [5.0, 5.0]
+
+    def test_jitter_across_the_boundary_sorts_as_in_a_full_parse(
+            self, tmp_path):
+        store, cached, cache = self.grown(
+            tmp_path,
+            console_line("2015-01-05T00:00:03.000000"),
+            console_line("2015-01-05T00:00:07.000000"),
+            console_line("2015-01-05T00:00:05.000000", "kernel chatter"))
+        got, want = read_state(cached), read_state(store)
+        assert got == want and cache.deltas == 1
+        # one file's list, before any cross-file merge could re-sort it
+        console = [(r.time, r.body)
+                   for r in cached.read_source(LogSource.CONSOLE)]
+        assert console == [(r.time, r.body)
+                           for r in store.read_source(LogSource.CONSOLE)]
+        assert [t for t, _ in console] == [3.0, 5.0, 5.0, 7.0]
+        assert console[2][1] == "kernel chatter"   # tie: line order
+
+    def test_mojibake_only_in_the_delta(self, tmp_path):
+        store, cached, cache = self.grown(
+            tmp_path, console_line("2015-01-05T00:00:06.000000",
+                                   "Machine Check �: 1 Bank 1: ff"))
+        got, want = read_state(cached), read_state(store)
+        assert got == want and cache.deltas == 1
+        assert want[1]["console"]["recovered"] == 1
+
+    @pytest.mark.parametrize("prefix_malformed", [0, 2])
+    def test_strict_message_matches_wherever_the_bad_line_is(
+            self, tmp_path, prefix_malformed):
+        store, cached, cache = self.grown(
+            tmp_path, "@@@ broken in the delta\n",
+            malformed=prefix_malformed)
+        with pytest.raises(IngestionError) as direct:
+            store.read_all(policy=ErrorPolicy.STRICT)
+        with pytest.raises(IngestionError) as via_cache:
+            cached.read_all(policy=ErrorPolicy.STRICT)
+        assert str(via_cache.value) == str(direct.value)
+        assert via_cache.value.line == direct.value.line
+        assert cache.deltas == 1
+        want = "@@@ totally broken line 0" if prefix_malformed else \
+            "@@@ broken in the delta"
+        assert direct.value.line == want
+
+    def test_rotted_path_record_heals_to_a_full_parse(self, tmp_path,
+                                                      monkeypatch):
+        tail = console_line("2015-01-05T00:00:09.000000")
+        store, cached, cache = self.grown(tmp_path, tail)
+        records = sorted((cache.root / cache_mod.PATHS_DIRNAME).iterdir())
+        assert len(records) == 6
+        for record in records:
+            record.write_text('{"key": "zz", "length": -1')
+        texts = self.spy_texts(monkeypatch)
+        assert read_state(cached) == read_state(store)
+        assert cache.deltas == 0
+        whole = (store.root / "p0/console.log").read_text()
+        assert texts[0] == whole                # full parse, not the tail
+        # the record is rewritten: the next append is a delta again
+        with (store.root / "p0/console.log").open("a") as handle:
+            handle.write(tail)
+        texts.clear()
+        assert read_state(cached) == read_state(store)
+        assert (cache.deltas, texts[0]) == (1, tail)
+
+    def test_rotted_base_entry_heals_to_a_full_parse(self, tmp_path,
+                                                     monkeypatch):
+        store = small_store(tmp_path / "logs")
+        cache = ParseCache(tmp_path / "pc")
+        cached = store.with_cache(cache)
+        console = store.root / "p0/console.log"
+        parser = LineParser(store.manifest().clock())
+        parse_log_file(console, parser, cache=cache)
+        [base] = cache.entry_files()
+        base.write_bytes(base.read_bytes()[:40])
+        tail = console_line("2015-01-05T00:00:09.000000")
+        with console.open("a") as handle:
+            handle.write(tail)
+        texts = self.spy_texts(monkeypatch)
+        assert read_state(cached) == read_state(store)
+        assert cache.deltas == 0 and cache.invalidated == 1
+        assert texts[0] == console.read_text()
+
+    def test_grown_file_keeps_one_entry(self, tmp_path):
+        store, cached, cache = self.grown(
+            tmp_path, console_line("2015-01-05T00:00:09.000000"))
+        assert len(cache.entry_files()) == 6
+        read_state(cached)
+        assert len(cache.entry_files()) == 6    # old version unlinked
+        assert cache.verify() == (6, [])
+
+    def test_torn_tail_resumes_once_completed(self, tmp_path, monkeypatch):
+        line = console_line("2015-01-05T00:00:09.000000")
+        store, cached, cache = self.grown(tmp_path, line[:12])
+        assert read_state(cached) == read_state(store)
+        assert snapshot(cached)[1]["console"]["partial_tail"] == 1
+        with (store.root / "p0/console.log").open("a") as handle:
+            handle.write(line[12:])
+        texts = self.spy_texts(monkeypatch)
+        assert read_state(cached) == read_state(store)
+        assert texts[0] == line and cache.deltas == 2
+
+    def test_clear_removes_path_records(self, tmp_path):
+        _, _, cache = self.grown(tmp_path)
+        paths = cache.root / cache_mod.PATHS_DIRNAME
+        assert len(list(paths.iterdir())) == 6
+        assert cache.stats().entries == 6       # records are not entries
+        assert cache.verify() == (6, [])
+        assert cache.clear() == 6
+        assert list(paths.iterdir()) == []

@@ -1,9 +1,13 @@
 """Tests for the on-disk log store."""
 
+from heapq import merge
+from operator import attrgetter
+
 import pytest
 
+from repro.logs.parsing import ParsedRecord
 from repro.logs.record import LogBus, LogRecord, LogSource
-from repro.logs.store import LogStore, StoreManifest
+from repro.logs.store import LogStore, StoreManifest, _merge_records
 from repro.simul.clock import SimClock
 
 
@@ -107,6 +111,45 @@ class TestWriteRead:
         store.write(filled_bus(), SimClock(), "TT", 1, 10.0)
         (tmp_path / "logs" / "p0" / "consumer.log").unlink()
         assert list(store.read_source(LogSource.CONSUMER)) == []
+
+
+def tagged(time: float, tag: str) -> ParsedRecord:
+    return ParsedRecord(time, LogSource.CONSOLE, "c0-0c0s0n0", "kernel",
+                        None, {}, body=tag)
+
+
+class TestMergeRecords:
+    """Per-file sorted lists merge stably: ties keep file order."""
+
+    def test_ties_across_files_keep_the_earlier_file_first(self):
+        lists = [
+            [tagged(1.0, "a1"), tagged(2.0, "a2"), tagged(2.0, "a3")],
+            [],
+            [tagged(0.5, "b1"), tagged(2.0, "b2"), tagged(3.0, "b3")],
+            [tagged(2.0, "c1"), tagged(2.0, "c2")],
+        ]
+        merged = _merge_records(lists)
+        assert [r.body for r in merged] == [
+            "b1", "a1", "a2", "a3", "b2", "c1", "c2", "b3"]
+        reference = merge(*lists, key=attrgetter("time"))
+        assert all(got is want for got, want in zip(merged, reference,
+                                                     strict=True))
+
+    def test_single_and_empty_inputs(self):
+        only = [tagged(1.0, "x")]
+        assert _merge_records([[], only, []]) is only
+        assert _merge_records([[], []]) == []
+
+    def test_store_tie_across_sources_follows_source_order(self, tmp_path):
+        store = LogStore(tmp_path / "logs")
+        bus = LogBus()
+        bus.emit(LogRecord(4.0, LogSource.MESSAGES, "c0-0c0s0n0",
+                           "nhc_suspect", {"why": "test"}))
+        bus.emit(LogRecord(4.0, LogSource.CONSOLE, "c0-0c0s0n0", "mce",
+                           {"bank": 1, "status": "ff"}))
+        store.write(bus, SimClock(), "TT", 1, 10.0)
+        assert [r.event for r in store.read_internal()] == [
+            "mce", "nhc_suspect"]
 
 
 class TestPartialTail:

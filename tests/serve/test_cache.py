@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
+from pathlib import Path
 
 import pytest
 
+from repro import api
+from repro.logs.cache import CACHE_FORMAT, ParseCache, catalog_fingerprint
+from repro.logs.record import LogSource
+from repro.logs.store import DEFAULT_CACHE_DIRNAME, LogStore
 from repro.serve.cache import (
     CachedResponse,
     ReportCache,
@@ -51,6 +57,77 @@ class TestLogdirFingerprint:
         logs = service_root / "logs"
         assert logdir_fingerprint(logs, "cray-xc") \
             != logdir_fingerprint(logs, "bgq-ras")
+
+    def test_derived_dirs_are_never_statted(self, service_root,
+                                            monkeypatch):
+        logs = service_root / "logs"
+        api.diagnose(str(logs), cache=True, error_policy="quarantine")
+        assert (logs / DEFAULT_CACHE_DIRNAME).is_dir()
+        (logs / "quarantine").mkdir(exist_ok=True)
+        (logs / "quarantine" / "console.quarantine.log").write_text("x\n")
+        statted = []
+        real = os.stat
+
+        def spy(path, *args, **kwargs):
+            statted.append(Path(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", spy)
+        logdir_fingerprint(logs)
+        derived = [path for path in statted
+                   if {DEFAULT_CACHE_DIRNAME, "quarantine"}
+                   & set(path.relative_to(logs).parts)]
+        assert derived == []
+        assert any(path.name == "console.log" for path in statted)
+
+    def test_walk_hashes_the_same_file_set(self, service_root):
+        logs = service_root / "logs"
+        api.diagnose(str(logs), cache=True)
+        (logs / "p0" / "console-20150104.log.gz").write_bytes(b"segment")
+        (logs / "notes").mkdir()
+        (logs / "notes" / "readme.txt").write_text("operator notes")
+        # the definition: format, catalog, manifest, then every other
+        # regular file outside the derived dirs as rel/size/mtime_ns
+        hasher = hashlib.sha256()
+        hasher.update(f"{CACHE_FORMAT}\x00".encode())
+        hasher.update(catalog_fingerprint(None).encode())
+        hasher.update(b"\x00")
+        hasher.update((logs / "manifest.json").read_bytes())
+        hasher.update(b"\x00")
+        entries = []
+        for path in logs.rglob("*"):
+            rel = path.relative_to(logs).as_posix()
+            if (not path.is_file() or rel == "manifest.json"
+                    or rel.startswith((".parse-cache/", "quarantine/"))):
+                continue
+            stat = path.stat()
+            entries.append(f"{rel}\x00{stat.st_size}\x00{stat.st_mtime_ns}")
+        for entry in sorted(entries):
+            hasher.update(entry.encode())
+            hasher.update(b"\x01")
+        assert logdir_fingerprint(logs) == hasher.hexdigest()
+
+
+class TestLiveStoreParseCache:
+    def test_parse_cache_stays_bounded_under_appends(self, service_root,
+                                                     tmp_path):
+        from repro.simul.clock import DAY
+        from repro.stream.replay import ReplayWriter
+
+        writer = ReplayWriter(service_root / "logs", tmp_path / "live")
+        live = LogStore(writer.live_root)
+        cache = ParseCache(writer.live_root / DEFAULT_CACHE_DIRNAME)
+        # every source that will grow holds lines before the first read
+        writer.feed_until(DAY - 1.0)
+        grown = 0
+        for step in range(9):
+            if step:
+                grown += writer.feed_until(DAY - 1.0 + step * DAY / 4)
+            api.diagnose(str(writer.live_root), cache=True)
+            contents = {path.read_text() for source in LogSource
+                        for path in live.source_files(source)}
+            assert len(cache.entry_files()) == len(contents)
+        assert grown >= 8
 
 
 class TestRequestKey:
