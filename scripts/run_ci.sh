@@ -31,7 +31,10 @@
 #      tests/logs/test_cache.py::TestDeltaOnlyIngest) and of appended
 #      files (a grown file parses only its new lines, and cached ==
 #      uncached across append, rotation, copytruncate, gzip, vanish
-#      and torn tails; tests/logs/test_cache.py::TestAppendDelta), plus the
+#      and torn tails; tests/logs/test_cache.py::TestAppendDelta) and of
+#      the entry's shared strings (one object per distinct string in a
+#      fresh entry, while unshared and delta-written entries still load;
+#      tests/logs/test_cache.py::TestSharedStrings), plus the
 #      entry-validation regressions (tests/logs/test_cache.py) and the
 #      collector-pause contract (tests/core/test_gc_pause.py)
 #   6. BG/Q dialect smoke: the bgq-ras platform catalog end-to-end
@@ -81,9 +84,12 @@ echo "== parse-cache warm-run smoke (zero files re-parsed) =="
 # part of tier-1 too; the focused re-run isolates the cache property
 # that matters operationally -- a warm second run must serve every
 # file from cache (no parses) and a changed directory must parse only
-# the delta, and an appended file must parse only its new lines
+# the delta, and an appended file must parse only its new lines; an
+# entry holds each distinct string once, and entries written without
+# that sharing still hit
 python -m pytest tests/logs/test_cache.py::TestDeltaOnlyIngest \
-    tests/logs/test_cache.py::TestAppendDelta -q
+    tests/logs/test_cache.py::TestAppendDelta \
+    tests/logs/test_cache.py::TestSharedStrings -q
 # every reader judges an entry alike (lookup self-heals what stats and
 # verify call invalid), and the warm path runs without collector passes
 # (the GC pause around ingest, build and analyses; its restore contract)

@@ -71,14 +71,22 @@ Wire format and self-healing
 The payload holds the records as eight flat columns, one per
 :class:`~repro.logs.parsing.ParsedRecord` field (:func:`_pack_records`),
 pickled with protocol 5 -- entries are local artifacts written and read
-only by this package -- and is published through the atomic checksummed
-blob writer in :mod:`repro.core.artifacts`.  A rotted entry
-(truncation, bit flips, foreign bytes, undecodable payload) fails its
-checksum at load, is silently evicted, and the file is re-parsed and
-re-written -- exactly the self-healing contract fleet shard artifacts
-follow.  Writers are multi-process safe: the temp-file + ``os.replace``
-publication means two processes populating one cache directory race
-benignly (last writer wins with identical bytes).
+only by this package.  Within one entry, equal component, daemon and
+attrs key/value strings are one object (a table local to each pack
+call), so the pickle memo writes each distinct string once and a hit
+decodes and frees it once; a delta shares within its own new records,
+so a string appears once per full parse plus at most once per delta
+since.  Sharing changes neither the column types nor ``CACHE_FORMAT``:
+entries written without it load the same way, just larger, until they
+are rewritten or ``repro cache clear`` runs.  The payload is published
+through the atomic checksummed blob writer in
+:mod:`repro.core.artifacts`.  A rotted entry (truncation, bit flips,
+foreign bytes, undecodable payload) fails its checksum at load, is
+silently evicted, and the file is re-parsed and re-written -- exactly
+the self-healing contract fleet shard artifacts follow.  Writers are
+multi-process safe: the temp-file + ``os.replace`` publication means
+two processes populating one cache directory race benignly (last
+writer wins with identical bytes).
 
 Observability: ``cache.hit`` / ``cache.miss`` / ``cache.delta`` /
 ``cache.invalidate`` / ``cache.store`` counters (a delta parse counts
@@ -354,7 +362,11 @@ class ParseCache:
         including the strict raise.  ``resume`` carries ``resume_at``
         for a delta (see :func:`repro.logs.store._parse_log_text`).
         """
-        from repro.logs.store import _emit_ingest_metrics, _parse_log_text
+        from repro.logs.store import (
+            _add_file_bytes,
+            _emit_ingest_metrics,
+            _parse_log_text,
+        )
 
         if not OBS.enabled:
             return _parse_log_text(text, parser, ErrorPolicy.QUARANTINE,
@@ -366,8 +378,8 @@ class ParseCache:
             health = result[1]
             span.add(records=health.parsed, read=health.read,
                      quarantined=health.quarantined,
-                     recovered=health.recovered,
-                     bytes=path.stat().st_size)
+                     recovered=health.recovered)
+            _add_file_bytes(span, path)
             _emit_ingest_metrics(health)
         return result
 
@@ -655,19 +667,32 @@ _RecordColumns = tuple[list, list, list, list, list, list, list, list]
 
 
 def _pack_records(records: list[ParsedRecord]) -> _RecordColumns:
-    """The entry's columnar record format.
+    """The entry's columnar record format, with equal strings shared.
 
     Pickling eight flat lists costs far less than one reduce call per
     record: the pickler memoises the shared enum singletons and the
     empty-attrs sentinel once per column instead of once per record.
+
+    The pickle memo works by object identity, and the parser makes a
+    fresh string per line, so equal components, daemons and attrs keys
+    and values are first folded onto their first occurrence through one
+    table local to this call.  Each distinct string is then written,
+    checksummed and (on a hit) decoded once per entry.  The attrs
+    columns hold new dicts of the shared strings (an empty one is kept
+    as is), never a dict shared between records.  The table dies with
+    the call: no process holds a growing intern table.  A delta packs
+    only its new records, so a string appears once per full parse (or
+    re-sort) plus at most once per delta appended since.
     """
+    share = {}.setdefault
     return (
         [r.time for r in records],
         [r.source for r in records],
-        [r.component for r in records],
-        [r.daemon for r in records],
+        [share(r.component, r.component) for r in records],
+        [share(r.daemon, r.daemon) for r in records],
         [r.event for r in records],
-        [r.attrs for r in records],
+        [{share(k, k): share(v, v) for k, v in r.attrs.items()}
+         if r.attrs else r.attrs for r in records],
         [r.severity for r in records],
         [r.body for r in records],
     )

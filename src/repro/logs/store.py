@@ -154,10 +154,24 @@ def parse_log_file(
     with OBS.span("logs.parse_file", "ingest", file=path.name) as span:
         records, health, quarantined = _parse_log_file(path, parser, policy)
         span.add(records=health.parsed, read=health.read,
-                 quarantined=health.quarantined, recovered=health.recovered,
-                 bytes=path.stat().st_size)
+                 quarantined=health.quarantined, recovered=health.recovered)
+        _add_file_bytes(span, path)
         _emit_ingest_metrics(health)
         return records, health, quarantined
+
+
+def _add_file_bytes(span, path: Path) -> None:
+    """Tag a ``logs.parse_file`` span with the file's size on disk.
+
+    The stat runs after the read: a file rotated away or removed in
+    between leaves the span without ``bytes`` instead of failing a read
+    that already succeeded.
+    """
+    try:
+        size = path.stat().st_size
+    except OSError:
+        return
+    span.add(bytes=size)
 
 
 def _emit_ingest_metrics(health: SourceHealth) -> None:

@@ -28,6 +28,7 @@ __all__ = [
     "Request",
     "read_request",
     "response_bytes",
+    "response_head",
     "start_chunked",
     "write_chunk",
     "end_chunked",
@@ -170,6 +171,28 @@ async def read_request(
                    headers=headers, body=body)
 
 
+def response_head(
+    status: int,
+    length: int,
+    headers: Optional[dict[str, str]] = None,
+    content_type: str = "application/json",
+    keep_alive: bool = True,
+) -> bytes:
+    """Status line and headers of a fixed-length response of ``length``.
+
+    Written ahead of the body as its own ``writer.write``, so a large
+    body is never copied into one head-plus-body buffer.
+    """
+    phrase = STATUS_PHRASES.get(status, "Unknown")
+    lines = [f"HTTP/1.1 {status} {phrase}"]
+    merged = {"Content-Type": content_type,
+              "Content-Length": str(length),
+              "Connection": "keep-alive" if keep_alive else "close"}
+    merged.update(headers or {})
+    lines.extend(f"{name}: {value}" for name, value in merged.items())
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
 def response_bytes(
     status: int,
     body: bytes = b"",
@@ -178,14 +201,8 @@ def response_bytes(
     keep_alive: bool = True,
 ) -> bytes:
     """One complete fixed-length response, ready for ``writer.write``."""
-    phrase = STATUS_PHRASES.get(status, "Unknown")
-    lines = [f"HTTP/1.1 {status} {phrase}"]
-    merged = {"Content-Type": content_type,
-              "Content-Length": str(len(body)),
-              "Connection": "keep-alive" if keep_alive else "close"}
-    merged.update(headers or {})
-    lines.extend(f"{name}: {value}" for name, value in merged.items())
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+    return response_head(status, len(body), headers, content_type,
+                         keep_alive) + body
 
 
 def error_body(detail: str) -> bytes:

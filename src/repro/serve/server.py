@@ -66,6 +66,7 @@ from repro.serve.http import (
     error_body,
     read_request,
     response_bytes,
+    response_head,
     start_chunked,
     write_chunk,
 )
@@ -417,9 +418,13 @@ class DiagnosisService:
                 await route.handler(request, writer)
                 return False  # chunked responses close the connection
             response = await route.handler(request)
-            writer.write(response_bytes(
-                response.status, response.body_bytes,
+            body = response.body_bytes
+            # head and body go out as two writes: joining them would
+            # copy a body of up to a megabyte per hit
+            writer.write(response_head(
+                response.status, len(body),
                 self._response_headers(response), keep_alive=keep_alive))
+            writer.write(body)
             await writer.drain()
             return keep_alive
         finally:

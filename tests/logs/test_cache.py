@@ -12,13 +12,14 @@ from __future__ import annotations
 import gzip
 import multiprocessing
 import shutil
+from collections import Counter
 
 import pytest
 
 import repro.logs.cache as cache_mod
 from repro.logs.cache import CACHE_MAGIC, ParseCache, catalog_fingerprint
 from repro.logs.health import ErrorPolicy, IngestionError, IngestionHealth
-from repro.logs.parsing import LineParser
+from repro.logs.parsing import LineParser, ParsedRecord
 from repro.logs.record import LogBus, LogRecord, LogSource
 from repro.logs.store import DEFAULT_CACHE_DIRNAME, LogStore, parse_log_file
 from repro.simul.clock import SimClock
@@ -665,3 +666,97 @@ class TestAppendDelta:
         assert cache.verify() == (6, [])
         assert cache.clear() == 6
         assert list(paths.iterdir()) == []
+
+
+def entry_strings(entry) -> list[str]:
+    """Every component, daemon and attrs key/value string of one entry."""
+    columns = entry["columns"]
+    strings = list(columns[2]) + list(columns[3])
+    for attrs in columns[5]:
+        strings.extend(attrs)
+        strings.extend(attrs.values())
+    return strings
+
+
+def most_copies(strings) -> int:
+    """The largest number of objects holding one equal string."""
+    objects = {id(s): s for s in strings}
+    return max(Counter(objects.values()).values(), default=0)
+
+
+def unshared_pack(records):
+    """The entry columns as packed before equal strings were shared."""
+    return tuple([getattr(r, name) for r in records]
+                 for name in ParsedRecord.__dataclass_fields__)
+
+
+def outcome(store, policy):
+    """A read's state, or the message of the refusal it raised."""
+    try:
+        return read_state(store, policy)
+    except IngestionError as exc:
+        return str(exc), exc.line
+
+
+class TestSharedStrings:
+    """An entry holds each distinct string once; old entries still load."""
+
+    def test_cold_entries_hold_one_object_per_string(self,
+                                                    diagnosed_scenario,
+                                                    tmp_path):
+        _, _, store = diagnosed_scenario
+        cache = ParseCache(tmp_path / "pc")
+        store.with_cache(cache).read_all()
+        entries = [cache_mod._read_entry(path)
+                   for path in cache.entry_files()]
+        assert entries
+        for entry in entries:
+            assert most_copies(entry_strings(entry)) <= 1
+        # the store repeats its strings, so there was something to share
+        assert sum(len(entry_strings(e)) for e in entries) > \
+            2 * sum(len(set(entry_strings(e))) for e in entries)
+
+    def test_unshared_entry_still_hits(self, diagnosed_scenario, tmp_path,
+                                       monkeypatch):
+        _, _, base = diagnosed_scenario
+        root = tmp_path / "copy"
+        shutil.copytree(base.root, root)
+        store = LogStore(root)
+        cache = ParseCache(tmp_path / "pc")
+        cached = store.with_cache(cache)
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_mod, "_pack_records", unshared_pack)
+            cached.read_all()
+        entries = [cache_mod._read_entry(path)
+                   for path in cache.entry_files()]
+        assert max(most_copies(entry_strings(e)) for e in entries) > 1
+        misses = cache.misses
+        for policy in ErrorPolicy:
+            assert outcome(cached, policy) == outcome(store, policy)
+        # every read was a hit on an unshared entry
+        assert (cache.misses, cache.invalidated) == (misses, 0)
+
+    def test_delta_written_entry_loads_under_every_policy(
+            self, diagnosed_scenario, tmp_path):
+        from repro.stream.replay import ReplayWriter
+
+        _, _, complete = diagnosed_scenario
+        writer = ReplayWriter(complete.root, tmp_path / "live")
+        cache = ParseCache(tmp_path / "pc")
+        live = writer.live_root
+        writer.feed_until(24 * 3600.0)
+        read_state(LogStore(live, cache=cache))          # the bases
+        writer.feed_until(48 * 3600.0)
+        with (live / "p0/console.log").open("a") as handle:
+            handle.write("@@@ broken in the delta\n")
+        read_state(LogStore(live, cache=cache))          # the deltas
+        assert cache.deltas > 0
+        # once per base plus at most once for the one delta since
+        assert max(most_copies(entry_strings(cache_mod._read_entry(path)))
+                   for path in cache.entry_files()) == 2
+        warm = ParseCache(tmp_path / "pc")
+        for policy in ErrorPolicy:
+            assert outcome(LogStore(live, cache=warm), policy) == \
+                outcome(LogStore(live), policy)
+        assert (warm.misses, warm.invalidated) == (0, 0)
+        assert warm.hits > 0

@@ -206,3 +206,60 @@ class TestPartialTail:
         health = IngestionHealth()
         store.read_internal(SimClock(), "skip", health)
         assert health.source(LogSource.CONSOLE).partial_tail == 0
+
+
+class TestTracedParseFileBytes:
+    """The ``logs.parse_file`` span's ``bytes`` tag never fails a read."""
+
+    @staticmethod
+    def read(root, cached):
+        """Write a fresh store at ``root`` and read it whole."""
+        from repro.logs.health import IngestionHealth
+
+        store = LogStore(root)
+        store.write(filled_bus(), SimClock(), "TT", 1, 10.0)
+        if cached:
+            store = store.with_cache(root.parent / f"{root.name}-cache")
+        health = IngestionHealth()
+        records = store.read_all(health=health)
+        return records, {s: b.as_dict() for s, b in health.sources.items()}
+
+    @staticmethod
+    def parse_file_spans(obs):
+        spans = [s for s in obs.spans() if s.name == "logs.parse_file"]
+        assert len(spans) == 6
+        return spans
+
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["uncached", "cached"])
+    def test_present_file_is_tagged_with_its_size(self, tmp_path, cached):
+        from repro.obs import session
+
+        with session() as obs:
+            self.read(tmp_path / "logs", cached)
+        sizes = [span.tags["bytes"] for span in self.parse_file_spans(obs)]
+        assert sum(sizes) > 0
+
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["uncached", "cached"])
+    def test_file_rotated_away_after_its_read(self, tmp_path, monkeypatch,
+                                              cached):
+        import repro.logs.store as store_mod
+        from repro.obs import session
+
+        real = store_mod._load_log_text
+
+        def read_then_rotate_away(path):
+            loaded = real(path)
+            path.unlink()
+            return loaded
+
+        monkeypatch.setattr(store_mod, "_load_log_text",
+                            read_then_rotate_away)
+        want = self.read(tmp_path / "plain", cached)
+        assert want[0]
+        with session() as obs:
+            got = self.read(tmp_path / "traced", cached)
+        assert got == want
+        for span in self.parse_file_spans(obs):
+            assert "bytes" not in span.tags

@@ -11,6 +11,7 @@ from repro.serve.http import (
     HttpError,
     read_request,
     response_bytes,
+    response_head,
 )
 
 
@@ -101,3 +102,18 @@ class TestResponseFraming:
     def test_unknown_status_still_frames(self):
         raw = response_bytes(418, b"")
         assert raw.startswith(b"HTTP/1.1 418 ")
+
+    @pytest.mark.parametrize("status", [200, 404, 418, 503])
+    @pytest.mark.parametrize("headers", [
+        None, {}, {"X-Cache": "hit", "X-Request-Key": "abc"},
+        {"Content-Type": "text/plain", "Connection": "close"}])
+    @pytest.mark.parametrize("keep_alive", [True, False])
+    def test_head_plus_body_is_the_whole_response(self, status, headers,
+                                                  keep_alive):
+        for body in (b"", b'{"a":1}', "\u00e9".encode("utf-8") * 1000):
+            head = response_head(status, len(body), headers,
+                                 keep_alive=keep_alive)
+            assert head + body == response_bytes(status, body, headers,
+                                                 keep_alive=keep_alive)
+            assert head.endswith(b"\r\n\r\n")
+            assert f"Content-Length: {len(body)}\r\n".encode() in head
