@@ -1,13 +1,15 @@
 """Bench: the streaming paths that keep `repro watch` cheap per poll.
 
 Two costs matter for a daemon that polls for days.  First, extending
-the record index must not degenerate into a rebuild: ``append_records``
-extends the k-way merge and per-bucket arrays in place, so feeding a
-store chunk by chunk is O(n) total where rebuild-per-chunk is
-O(n^2 / chunk).  Second, an *idle* poll (stat every source file, find
-nothing new) must be far below the poll interval, or the daemon eats a
-core doing nothing.  Both legs run on the S3 scenario so the numbers
-are comparable with the ingestion benches.
+the record index must not lose to a rebuild: ``append_records`` extends
+the stream in place, keeps the already-extracted time prefix and drops
+the bucket caches.  This leg queries ``by_event`` after every append,
+which the daemon never does on its own index, so the rebuilt buckets
+make it a worst case; rebuild-per-chunk also copies the whole stream
+and re-extracts every time.  Second, an *idle* poll (stat every source
+file, find nothing new) must be far below the poll interval, or the
+daemon eats a core doing nothing.  Both legs run on the S3 scenario so
+the numbers are comparable with the ingestion benches.
 """
 
 import time
@@ -29,7 +31,7 @@ def _stream_append(chunks):
     index = StreamIndex(list(chunks[0]))
     for chunk in chunks[1:]:
         index.append_records(chunk)
-        _ = index.by_event, index.times  # caches extend, not rebuild
+        _ = index.by_event, index.times  # buckets rebuild, times extend
     return index
 
 

@@ -9,7 +9,9 @@
 #      campaign supervisor and its scheduler (tests/runtime), fleets at
 #      max_workers 1..3 (tests/fleet/test_supervisor.py) and spans across
 #      the fork boundary (tests/obs/test_fork_boundary.py) -- one
-#      scheduler runs them all
+#      scheduler runs them all; then the span-context cases beside it
+#      (tests/obs/test_recorder.py::TestSpanContext: a fresh thread
+#      starts as a root, interleaved asyncio tasks nest independently)
 #   3. streaming smoke: a real `repro watch` subprocess (the CLI drives
 #      api.watch) tails a live directory, alerts on a fed increment, and
 #      finalizes cleanly on SIGTERM (tests/stream/test_cli_smoke.py,
@@ -71,6 +73,7 @@ python -m pytest -q
 echo "== supervision smoke (pytest -m supervision) =="
 python -m pytest tests/runtime tests/fleet/test_supervisor.py \
     tests/obs/test_fork_boundary.py -m supervision -q
+python -m pytest tests/obs/test_recorder.py::TestSpanContext -q
 
 echo "== streaming smoke (pytest -m streaming) =="
 python -m pytest tests/stream -m streaming -q

@@ -396,10 +396,11 @@ def watch(
     consecutive empty polls or ``max_polls`` total (each ``None`` means
     unbounded -- then it runs until SIGTERM/SIGINT, which finalize
     gracefully).  Returns a :class:`repro.stream.WatchReport`.
-    ``cache`` attaches a parse cache to the daemon's store, making
-    restart-time catch-up reads delta-only (the live tail itself parses
-    incrementally and needs no cache).  ``platform`` forces the read
-    dialect, as in :func:`load_system`.
+    ``cache`` is accepted for the shared read-verb vocabulary but has
+    no effect here: the daemon's tailer parses every file, fresh or
+    resumed, incrementally from its checkpointed offsets and never reads
+    through the parse cache.  ``platform`` forces the read dialect, as
+    in :func:`load_system`.
     """
     # imported lazily, like run_campaign: the streaming subsystem is
     # not needed by the batch-only surface above

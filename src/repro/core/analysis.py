@@ -207,16 +207,6 @@ class AnalysisRegistry:
                 table[source] = dependents
         return table
 
-    def skipped_for(self, missing: Iterable[LogSource]) -> list[str]:
-        """Names skipped when ``missing`` streams are absent (deduped,
-        first-seen order)."""
-        skipped: list[str] = []
-        for source in missing:
-            for name in self.dependents(source):
-                if name not in skipped:
-                    skipped.append(name)
-        return skipped
-
     def platform_excluded(self, platform: Optional[str]) -> list[str]:
         """Names of platform-scoped analyses that do *not* apply.
 

@@ -24,13 +24,14 @@ output-identical by design.
 
 The index is also *append-friendly* (the streaming daemon's substrate,
 see :mod:`repro.stream`): :meth:`StreamIndex.append_records` extends the
-stream and every already-built bucket in place -- no re-parse, no
-re-sort, no cache rebuild -- as long as the appended records respect the
-stream's time order.  The time axis is kept as a frozen compacted prefix
-plus a mutable tail: :meth:`StreamIndex.compact` freezes the tail into
-the caches, and :meth:`StreamIndex.evict_before` drops records older
-than a watermark so a long-running tailer's resident set stays bounded
-by its active window.
+stream in place -- no re-parse, no re-sort -- as long as the appended
+records respect the stream's time order.  Appends drop the bucket
+caches rather than patch them, because the daemon never queries its
+own index's buckets (each window is diagnosed over fresh
+:meth:`StreamIndex.window` slices); the time axis is kept as a frozen
+prefix plus a tail extracted on demand.  :meth:`StreamIndex.evict_before`
+drops records older than a watermark so a long-running tailer's
+resident set stays bounded by its active window.
 
 :func:`failure_times_by_node` is the same idea for the *derived* failure
 population: four analyses used to independently rebuild the per-node
@@ -40,12 +41,12 @@ them down.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.logs.parsing import ParsedRecord
+from repro.logs.store import _merge_records
 from repro.obs import OBS
 
 __all__ = ["StreamIndex", "RecordIndex", "failure_times_by_node"]
@@ -85,6 +86,13 @@ class StreamIndex:
     def __len__(self) -> int:
         return len(self.records)
 
+    def _drop_buckets(self) -> None:
+        """Forget every bucket cache (rebuilt lazily on next use)."""
+        self._by_event = None
+        self._by_node = None
+        self._selections = {}
+        self._node_times = {}
+
     # -- appending -------------------------------------------------------
     def append_records(self, new: Sequence[ParsedRecord]) -> int:
         """Extend the stream in place; returns the number appended.
@@ -92,10 +100,9 @@ class StreamIndex:
         ``new`` must itself be time-sorted and must not start before the
         current tail (the stream-order invariant every bucket relies
         on); violations raise ``ValueError`` and leave the index
-        untouched.  Already-built buckets and cached selections are
-        *extended*, not invalidated -- only the per-node time arrays of
-        the nodes actually touched are dropped, and the frozen time
-        prefix stays frozen (the new times become the mutable tail).
+        untouched.  The bucket caches are dropped and rebuilt lazily;
+        the frozen time prefix stays frozen (the new times become the
+        tail :attr:`times` extracts on demand).
 
         An empty append is a no-op (no cache is touched).
         """
@@ -112,47 +119,7 @@ class StreamIndex:
         if not isinstance(self.records, list):
             self.records = list(self.records)
         self.records.extend(new)
-        # extend (never rebuild) whatever is already cached
-        by_event = self._by_event
-        by_node = self._by_node
-        touched_nodes = set()
-        for rec in new:
-            if by_event is not None:
-                bucket = by_event.get(rec.event)
-                if bucket is None:
-                    by_event[rec.event] = [rec]
-                else:
-                    bucket.append(rec)
-            if by_node is not None:
-                bucket = by_node.get(rec.component)
-                if bucket is None:
-                    by_node[rec.component] = [rec]
-                else:
-                    bucket.append(rec)
-            touched_nodes.add(rec.component)
-        new_event_keys = {rec.event for rec in new}
-        for events in list(self._selections):
-            selection = self._selections[events]
-            alias_key = None
-            if by_event is not None:
-                for key in events:
-                    if selection is by_event.get(key):
-                        alias_key = key
-                        break
-            if alias_key is not None:
-                # a single-hit selection aliases its by_event bucket,
-                # which the loop above already extended; that stays
-                # correct unless the append introduced records under one
-                # of the selection's *other* keys -- then the alias can
-                # no longer represent the set and must be rebuilt lazily
-                if any(key != alias_key for key in new_event_keys & events):
-                    del self._selections[events]
-                continue
-            selection.extend(rec for rec in new if rec.event in events)
-        for node in touched_nodes:
-            self._node_times.pop(node, None)
-        # ``_times`` now covers only a prefix (its own length says how
-        # much); ``times`` concatenates the mutable tail on demand
+        self._drop_buckets()
         if OBS.enabled:
             OBS.metrics.counter("index.appends").inc()
             OBS.metrics.counter("index.appended_records").inc(len(new))
@@ -165,34 +132,19 @@ class StreamIndex:
         a record that arrives *after* the stream has moved past its
         stamp (a resume race, a source that reappeared mid-window) can
         still be placed faithfully as long as its window has not been
-        reported yet.  ``new`` must itself be time-sorted.  Unlike
-        appends this resets every cache (rebuilt lazily over the merged
-        stream), so it should stay what it is: the rare path.
+        reported yet.  ``new`` must itself be time-sorted; ties keep the
+        resident record first.  Unlike appends this also resets the time
+        axis, so it should stay what it is: the rare path.
         """
         if not new:
             return 0
-        merged = list(heapq.merge(self.records, new,
-                                  key=lambda rec: rec.time))
-        self.records = merged
-        self._by_event = None
-        self._by_node = None
+        self.records = _merge_records([self.records, list(new)])
         self._times = None
-        self._selections = {}
-        self._node_times = {}
+        self._drop_buckets()
         if OBS.enabled:
             OBS.metrics.counter("index.merges").inc()
             OBS.metrics.counter("index.merged_records").inc(len(new))
         return len(new)
-
-    def compact(self) -> int:
-        """Freeze the mutable tail into the caches; returns resident count.
-
-        Forces the time axis (frozen prefix + tail) into one contiguous
-        array so subsequent window queries pay no concatenation.  Cheap
-        to call every poll: a no-op when nothing was appended.
-        """
-        _ = self.times
-        return len(self.records)
 
     def evict_before(self, t0: float) -> int:
         """Drop records with ``time < t0``; returns the number evicted.
@@ -208,11 +160,8 @@ class StreamIndex:
         if not isinstance(self.records, list):
             self.records = list(self.records)
         del self.records[:lo]
-        self._by_event = None
-        self._by_node = None
         self._times = None
-        self._selections = {}
-        self._node_times = {}
+        self._drop_buckets()
         if OBS.enabled:
             OBS.metrics.counter("index.evicted_records").inc(lo)
         return lo
@@ -393,11 +342,6 @@ class RecordIndex:
             OBS.metrics.gauge("index.resident_records").set(
                 self.resident_records())
         return evicted
-
-    def compact(self) -> int:
-        """Freeze every stream's mutable tail; returns resident count."""
-        return (self.internal.compact() + self.external.compact()
-                + self.scheduler.compact())
 
     def resident_records(self) -> int:
         """Records currently held across all three streams."""

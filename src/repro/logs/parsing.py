@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from repro.logs.catalog import CRAY_XC, DAEMON_SOURCES
+from repro.logs.catalog import CRAY_XC
 from repro.logs.catalogs import PlatformCatalog, resolve_catalog
 from repro.logs.record import LogSource, Severity
 from repro.simul.clock import SimClock, parse_syslog
@@ -206,40 +206,13 @@ class LineParser:
             return (us + int(frac.ljust(6, "0"))) / 1_000_000
         return self.clock.to_seconds(parse_syslog(stamp))
 
-    @staticmethod
-    def _structure(line: str) -> Optional[tuple[str, str, str, str]]:
-        """Split ``stamp component daemon: body``; None when torn apart."""
-        parts = line.split(" ", 2)
-        if len(parts) < 3:
-            return None
-        stamp, component, rest = parts
-        daemon, sep, body = rest.partition(": ")
-        if not sep:
-            return None
-        return stamp, component, daemon, body
-
-    def _build(
-        self, time: float, component: str, daemon: str, body: str
-    ) -> ParsedRecord:
-        """Match the body against the daemon's compiled dispatcher."""
-        dispatcher = self._dispatchers.get(daemon)
-        if dispatcher is not None:
-            hit = dispatcher.match(body)
-            if hit is not None:
-                spec, attrs = hit
-                return ParsedRecord(time, spec.source, component, daemon,
-                                    spec.key, attrs, spec.severity, body)
-        # Unrecognised chatter: keep it, classified by daemon only.
-        return ParsedRecord(
-            time, self._daemon_sources.get(daemon, self._default_source),
-            component, daemon, None, _EMPTY_ATTRS, Severity.INFO, body)
-
     def parse(self, line: str) -> Optional[ParsedRecord]:
         """Parse one line; None for blank/malformed lines."""
         line = line.rstrip("\n")
         if not line or line.isspace():
             return None
-        # _structure(), inlined: this is the hottest loop in ingestion
+        # split "stamp component daemon: body" (the hottest loop in
+        # ingestion, so parse_ex() repeats it rather than call a helper)
         parts = line.split(" ", 2)
         if len(parts) < 3:
             return None
@@ -251,7 +224,8 @@ class LineParser:
             time = self._stamp_seconds(stamp)
         except ValueError:
             return None
-        # _build(), inlined
+        # match the body against the daemon's compiled dispatcher;
+        # unrecognised chatter is kept, classified by daemon only
         dispatcher = self._dispatchers.get(daemon)
         if dispatcher is not None:
             hit = dispatcher.match(body)
@@ -285,7 +259,7 @@ class LineParser:
         line = line.rstrip("\r\n")
         if not line or line.isspace():
             return _BLANK
-        # _structure(), inlined (hot loop; see parse())
+        # split as in parse()
         parts = line.split(" ", 2)
         if len(parts) < 3:
             return _MALFORMED
@@ -307,7 +281,7 @@ class LineParser:
         elif time < last - self.max_skew:
             time = last
             recovered = True
-        # _build(), inlined
+        # classify as in parse()
         dispatcher = self._dispatchers.get(daemon)
         if dispatcher is not None:
             hit = dispatcher.match(body)
@@ -327,15 +301,6 @@ class LineParser:
             rec = self.parse(line)
             if rec is not None:
                 yield rec
-
-
-#: legacy alias; the mapping is owned by the default catalog now
-_DAEMON_SOURCE = DAEMON_SOURCES
-
-
-def _source_for_daemon(daemon: str) -> LogSource:
-    """Best-effort source classification for unrecognised chatter."""
-    return _DAEMON_SOURCE.get(daemon, LogSource.SCHEDULER)
 
 
 def parse_line(

@@ -3,9 +3,9 @@
 A *span* is one timed unit of pipeline work -- parsing a file, running
 an analysis, supervising a worker batch -- with wall time, CPU time and
 arbitrary tags (record counts, byte counts, file names).  Spans nest:
-the recorder keeps a per-thread stack, so a span opened while another is
-active records that span as its parent, and the exported trace shows
-the pipeline's real call tree.
+the recorder keeps the innermost open span in a context variable, so a
+span opened while another is active records that span as its parent,
+and the exported trace shows the pipeline's real call tree.
 
 Design constraints, in order:
 
@@ -15,14 +15,18 @@ Design constraints, in order:
    shared do-nothing context manager.  Nothing allocates, nothing
    locks.  The <3% overhead gate on ``bench_full_pipeline`` is recorded
    in ``BENCH_pr5.json``.
-2. **Thread-safe.**  Finished spans append under a lock; the open-span
-   stack is thread-local, so concurrent threads nest independently.
+2. **Context-safe.**  Finished spans append under a lock; the open span
+   lives in the current context, so a new thread (and an executor
+   call) starts with no open span and records roots, and each asyncio
+   task nests independently in its own copy of the context.  To carry
+   a span across a thread, run the work under
+   ``contextvars.copy_context().run``.
 3. **Process-safe across fork.**  Span ids embed the recording pid, and
-   a forked child (pool worker, supervised campaign worker) inherits
-   the parent's open-span stack -- so the first span a worker opens
-   records the supervisor-side span it forked under as its parent.
-   Workers :meth:`drain_payload` their buffered spans and metrics and
-   ship them home over their result channel; the parent
+   a forked child (supervised campaign worker, fleet shard) keeps the
+   context of the thread that forked it -- so the first span a worker
+   opens records the supervisor-side span it forked under as its
+   parent.  Workers :meth:`drain_payload` their buffered spans and
+   metrics and ship them home over their result channel; the parent
    :meth:`absorb`\\ s them, exactly like the ingestion health
    accounting merges worker counters.
 
@@ -34,6 +38,7 @@ the codebase instruments against.  It is *mutated* by
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import os
 import threading
 import time
@@ -142,8 +147,8 @@ class _LiveSpan:
     def __enter__(self) -> "_LiveSpan":
         rec = self._recorder
         self.span_id = rec._next_id()
-        self.parent_id = rec.current_span_id()
-        rec._push(self.span_id)
+        self.parent_id = rec._current.get()
+        rec._current.set(self.span_id)
         self._start = time.time()
         self._t0 = time.perf_counter()
         self._c0 = time.process_time()
@@ -164,7 +169,8 @@ class _LiveSpan:
         duration = time.perf_counter() - self._t0
         cpu = time.process_time() - self._c0
         rec = self._recorder
-        rec._pop()
+        # restore by value, not by token: closing a span never raises
+        rec._current.set(self.parent_id)
         if exc_type is not None:
             self.tags["error"] = exc_type.__name__
         rec._record(SpanRecord(
@@ -177,7 +183,7 @@ class _LiveSpan:
 
 
 class Recorder:
-    """Thread/process-safe collector of spans and metrics.
+    """Context/process-safe collector of spans and metrics.
 
     Instrumentation sites use the module singleton :data:`OBS`; tests
     may build private recorders.  ``enabled`` is the master switch --
@@ -190,7 +196,8 @@ class Recorder:
         self.metrics = MetricsRegistry()
         self._lock = threading.Lock()
         self._spans: list[SpanRecord] = []
-        self._local = threading.local()
+        #: the innermost open span id of the current context
+        self._current = contextvars.ContextVar("repro.obs.span", default=None)
         self._serial = 0
 
     # -- span lifecycle ------------------------------------------------
@@ -209,37 +216,9 @@ class Recorder:
             self._serial += 1
             return f"{os.getpid()}-{self._serial}"
 
-    def _stack(self) -> list[str]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = list(self._inherited_stack())
-        return stack
-
-    def _inherited_stack(self) -> list[str]:
-        """The fork-inherited open-span context for a new thread/process.
-
-        After a fork, only the forking thread survives; its open spans
-        (snapshotted at every push/pop into :attr:`_fork_stack`) are the
-        nesting context any span recorded in the child belongs under.
-        """
-        inherited = getattr(self, "_fork_stack", None) or []
-        return [span_id for span_id in inherited]
-
-    def _push(self, span_id: str) -> None:
-        stack = self._stack()
-        stack.append(span_id)
-        self._fork_stack = list(stack)
-
-    def _pop(self) -> None:
-        stack = self._stack()
-        if stack:
-            stack.pop()
-        self._fork_stack = list(stack)
-
     def current_span_id(self) -> Optional[str]:
-        """The innermost open span of this thread (None at top level)."""
-        stack = self._stack()
-        return stack[-1] if stack else None
+        """The innermost open span id of the current context, or None."""
+        return self._current.get()
 
     def _record(self, span: SpanRecord) -> None:
         with self._lock:
@@ -288,8 +267,7 @@ class Recorder:
         with self._lock:
             self._spans.clear()
             self._serial = 0
-        self._local = threading.local()
-        self._fork_stack = []
+        self._current.set(None)
         self.metrics.reset()
 
 

@@ -155,7 +155,7 @@ def _worker_main(
     # (which still holds them) -- shipping them home again would double
     # them, compounding with every worker forked later.  Drop the
     # inherited state so this worker only ever reports its own deltas;
-    # the open-span stack is kept, it is what parents the first span.
+    # the forking thread's span context is kept, it parents the first span.
     if OBS.enabled:
         OBS.drain()
         OBS.metrics.reset()
@@ -191,7 +191,7 @@ def _worker_main(
                 send("error", task.task_id,
                      f"{type(exc).__name__}: {exc}")
         # the worker is forked, so its recorder inherited the parent's
-        # enabled flag and open-span stack: buffered spans/metrics go
+        # enabled flag and span context: buffered spans/metrics go
         # home over the result pipe and are absorbed supervisor-side
         # (a killed worker loses only its unsent buffer)
         if OBS.enabled:

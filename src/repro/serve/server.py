@@ -225,6 +225,10 @@ class DiagnosisService:
                 400, "window_days belongs to POST /v1/diagnose/windowed")
         self._admit(request)
         logdir = self._resolve_dir(req.logdir, "logdir")
+        if isinstance(req.cache, str):
+            # a parse-cache path is anchored like logdir, never the cwd
+            req = dataclasses.replace(
+                req, cache=str(self._resolve_dir(req.cache, "cache")))
         if not (logdir / "manifest.json").is_file():
             raise HttpError(
                 404, f"{req.logdir} is not a log store (no manifest.json)")

@@ -106,10 +106,10 @@ class WatchConfig:
     #: (None = run until stopped)
     idle_polls: Optional[int] = None
     #: parse cache attached to the daemon's store (same accepted values
-    #: as :meth:`repro.logs.store.LogStore.with_cache`).  The live tail
-    #: parses incrementally and never re-reads whole files, so the cache
-    #: only pays off on *restart*-time catch-up reads and on any batch
-    #: reader sharing the directory -- it never changes streamed bytes.
+    #: as :meth:`repro.logs.store.LogStore.with_cache`).  It has no
+    #: effect: the tailer parses every file incrementally from its
+    #: checkpointed offsets, on a fresh start and on resume alike, and
+    #: never reads through the store's cache.
     cache: object = None
     #: platform catalog the store is read under (a registry name from
     #: :mod:`repro.logs.catalogs`); None defers to the store's manifest

@@ -607,8 +607,3 @@ class LogTailer:
             if bucket.files == 0:
                 self.health.note(
                     f"source {source.value!r} has no log files")
-
-    def missing_sources(self) -> list[LogSource]:
-        """Sources that have never shown a file (batch ``missing`` set)."""
-        return [source for source in LogSource
-                if self.health.source(source).files == 0]

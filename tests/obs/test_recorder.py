@@ -3,11 +3,13 @@
 Two contracts matter most: **disabled mode allocates nothing** (every
 ``span()`` call returns the same shared no-op object, so the <3%%
 overhead gate holds by construction), and **span nesting survives every
-boundary** -- threads keep independent stacks, forked workers inherit
-the parent's open-span context, and ``drain_payload``/``absorb`` round
+boundary** -- threads nest independently and start as roots, asyncio
+tasks nest in their own copy of the context, forked workers inherit
+the forking thread's open span, and ``drain_payload``/``absorb`` round
 the wire format without loss.
 """
 
+import asyncio
 import json
 import threading
 
@@ -124,6 +126,63 @@ class TestSpanNesting:
             inner, outer = spans[f"inner-{label}"], spans[f"outer-{label}"]
             assert inner.parent_id == outer.span_id
             assert inner.tid == outer.tid
+
+
+class TestSpanContext:
+    def test_fresh_thread_starts_as_a_root(self):
+        recorder = live_recorder()
+        opened, release = threading.Event(), threading.Event()
+
+        def hold():
+            with recorder.span("held"):
+                opened.set()
+                release.wait(5)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert opened.wait(5)
+
+            def fresh():
+                with recorder.span("fresh"):
+                    pass
+
+            worker = threading.Thread(target=fresh)
+            worker.start()
+            worker.join()
+        finally:
+            release.set()
+            holder.join()
+        spans = {s.name: s for s in recorder.spans()}
+        assert spans["fresh"].parent_id is None
+        assert spans["held"].parent_id is None
+
+    def test_interleaved_tasks_nest_under_their_own_outer_span(self):
+        recorder = live_recorder()
+
+        async def work(label):
+            with recorder.span(f"outer-{label}"):
+                await asyncio.sleep(0)  # let the other task open its spans
+                with recorder.span(f"inner-{label}"):
+                    await asyncio.sleep(0)
+
+        async def main():
+            await asyncio.gather(work(0), work(1))
+
+        asyncio.run(main())
+        spans = {s.name: s for s in recorder.spans()}
+        assert len(spans) == 4
+        for label in (0, 1):
+            inner, outer = spans[f"inner-{label}"], spans[f"outer-{label}"]
+            assert outer.parent_id is None
+            assert inner.parent_id == outer.span_id
+
+    def test_reset_clears_the_open_span(self):
+        recorder = live_recorder()
+        span = recorder.span("left-open").__enter__()
+        assert recorder.current_span_id() == span.span_id
+        recorder.reset()
+        assert recorder.current_span_id() is None
 
 
 class TestDrainAndAbsorb:

@@ -141,6 +141,35 @@ class TestDiagnoseEndpoint:
         status, _, _ = run(with_service(service_root, action))
         assert status == 403
 
+    def test_escaping_cache_is_403_and_creates_nothing(
+            self, service_root, tmp_path_factory):
+        outside = tmp_path_factory.mktemp("outside") / "parse-cache"
+
+        async def action(service):
+            return await http_request(
+                service.host, service.port, "POST", "/v1/diagnose",
+                diagnose_body(cache=str(outside)))
+
+        status, _, body = run(with_service(service_root, action))
+        assert status == 403
+        assert b"cache" in body
+        assert not outside.exists()
+
+    def test_relative_cache_lands_under_the_root(
+            self, service_root, tmp_path_factory, monkeypatch):
+        cwd = tmp_path_factory.mktemp("cwd")
+        monkeypatch.chdir(cwd)
+
+        async def action(service):
+            return await http_request(
+                service.host, service.port, "POST", "/v1/diagnose",
+                diagnose_body(cache="parse-cache"))
+
+        status, _, _ = run(with_service(service_root, action))
+        assert status == 200
+        assert any((service_root / "parse-cache").iterdir())
+        assert not (cwd / "parse-cache").exists()
+
     def test_missing_store_is_404(self, service_root):
         async def action(service):
             return await http_request(
