@@ -6,20 +6,30 @@ the stream in place, keeps the already-extracted time prefix and drops
 the bucket caches.  This leg queries ``by_event`` after every append,
 which the daemon never does on its own index, so the rebuilt buckets
 make it a worst case; rebuild-per-chunk also copies the whole stream
-and re-extracts every time.  Second, an *idle* poll (stat every source
-file, find nothing new) must be far below the poll interval, or the
-daemon eats a core doing nothing.  Both legs run on the S3 scenario so
-the numbers are comparable with the ingestion benches.
+and re-extracts every time.  Second, an *idle* poll (list each source
+directory, stat every live file, find nothing new) must be far below
+the poll interval, or the daemon eats a core doing nothing, and it must
+not grow with the rotated history a long-running daemon accumulates:
+finalized ``.gz`` segments are never stat'ed or read again.  The legs
+run on the S3 scenario so the numbers are comparable with the ingestion
+benches.
 """
 
 import time
 
 from repro.core.index import StreamIndex
 from repro.logs.health import ErrorPolicy
+from repro.logs.record import LogSource
+from repro.simul.clock import DAY
 from repro.stream.daemon import WatchConfig, WatchDaemon
 from repro.stream.replay import ReplayWriter
 
 CHUNKS = 20
+#: days of daily rotate+gzip (every source, empty or not, as
+#: logrotate's default ``ifempty`` does) behind the history idle tick
+HISTORY_DAYS = 60
+#: idle ticks per timed round, and rounds (the minimum round counts)
+IDLE_TICKS, IDLE_ROUNDS = 50, 5
 
 
 def _chunked(records):
@@ -77,12 +87,53 @@ def test_append_beats_rebuild(store_s3):
     assert ratio > 1.0  # appending must never lose to rebuilding
 
 
-def test_idle_poll_overhead(benchmark, store_s3, tmp_path):
-    """An idle tick: stat every live file, parse nothing, close nothing."""
-    writer = ReplayWriter(store_s3.root, tmp_path / "live")
+def _idle_daemon(store, base, history_days=0):
+    """A daemon that has swallowed a live copy of ``store`` once.
+
+    With ``history_days`` the copy is fed a day at a time and every
+    source is rotated and gzipped after each day, so the live directory
+    holds ``history_days`` finalized segments per source.
+    """
+    writer = ReplayWriter(store.root, base / "live")
+    for day in range(1, history_days + 1):
+        writer.feed_until(day * DAY)
+        for source in LogSource:
+            writer.gzip_rotated(source, writer.rotate(source))
     writer.feed_all()
     daemon = WatchDaemon(WatchConfig(
-        logdir=writer.store.root, out=tmp_path / "watch", window_days=7))
+        logdir=writer.store.root, out=base / "watch", window_days=7))
     daemon.start()
     assert daemon.tick() > 0  # swallow the whole store once
+    return daemon
+
+
+def _idle_tick_s(daemon):
+    t0 = time.perf_counter()
+    for _ in range(IDLE_TICKS):
+        assert daemon.tick() == 0
+    return (time.perf_counter() - t0) / IDLE_TICKS
+
+
+def test_idle_poll_overhead(benchmark, store_s3, tmp_path):
+    """An idle tick: stat every live file, parse nothing, close nothing."""
+    daemon = _idle_daemon(store_s3, tmp_path)
     benchmark(daemon.tick)  # every further tick finds nothing new
+
+
+def test_idle_poll_ignores_rotated_history(store_s3, tmp_path):
+    """An idle tick over 60 days of gzipped segments costs about what
+    one over the history-free directory does."""
+    fresh = _idle_daemon(store_s3, tmp_path / "fresh")
+    history = _idle_daemon(store_s3, tmp_path / "history", HISTORY_DAYS)
+    segments = sum(len(history.store.source_files(source)) - 1
+                   for source in LogSource)
+    assert segments == HISTORY_DAYS * len(LogSource)
+    fresh_times, history_times = [], []
+    for _ in range(IDLE_ROUNDS):
+        fresh_times.append(_idle_tick_s(fresh))
+        history_times.append(_idle_tick_s(history))
+    ratio = min(history_times) / min(fresh_times)
+    print(f"\nidle tick with {segments} gzipped segments / without: "
+          f"{ratio:.2f}x ({min(history_times) * 1e3:.3f} / "
+          f"{min(fresh_times) * 1e3:.3f} ms)")
+    assert ratio < 2.0  # the history is listed, never stat'ed or read

@@ -15,9 +15,13 @@
 #   3. streaming smoke: a real `repro watch` subprocess (the CLI drives
 #      api.watch) tails a live directory, alerts on a fed increment, and
 #      finalizes cleanly on SIGTERM (tests/stream/test_cli_smoke.py,
-#      -m streaming); the
-#      streamed-vs-batch replay-parity and SIGKILL-resume gates run in
-#      the chaos tier below (tests/chaos/test_stream_chaos.py)
+#      -m streaming); then the poll-cost gate (a poll's stat, listing
+#      and open calls do not grow with finalized history;
+#      tests/stream/test_tailer.py::TestPollCost) and the file-selection
+#      definition it rests on (LogStore.source_files against the former
+#      two-glob definition; tests/logs/test_store.py::TestSourceFiles);
+#      the streamed-vs-batch replay-parity and SIGKILL-resume gates run
+#      in the chaos tier below (tests/chaos/test_stream_chaos.py)
 #   4. parity gate: the registry-driver report must stay byte-identical
 #      (canonical JSON) to the committed pre-refactor goldens on s1-s5,
 #      and one full-span window must equal the batch run (windowed
@@ -77,6 +81,8 @@ python -m pytest tests/obs/test_recorder.py::TestSpanContext -q
 
 echo "== streaming smoke (pytest -m streaming) =="
 python -m pytest tests/stream -m streaming -q
+python -m pytest tests/stream/test_tailer.py::TestPollCost \
+    tests/logs/test_store.py::TestSourceFiles -q
 
 echo "== parity + windowed-consistency gate (pytest -m parity) =="
 # the byte contract: the encoder oracle and the committed goldens

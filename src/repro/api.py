@@ -376,7 +376,6 @@ def watch(
     max_polls: Optional[int] = None,
     idle_polls: Optional[int] = None,
     obs: Optional[ObsConfig] = None,
-    cache=None,
     platform: Optional[str] = None,
 ):
     """Stream-diagnose a live log directory until it goes quiet.
@@ -396,11 +395,10 @@ def watch(
     consecutive empty polls or ``max_polls`` total (each ``None`` means
     unbounded -- then it runs until SIGTERM/SIGINT, which finalize
     gracefully).  Returns a :class:`repro.stream.WatchReport`.
-    ``cache`` is accepted for the shared read-verb vocabulary but has
-    no effect here: the daemon's tailer parses every file, fresh or
-    resumed, incrementally from its checkpointed offsets and never reads
-    through the parse cache.  ``platform`` forces the read dialect, as
-    in :func:`load_system`.
+    There is no parse-cache knob: the daemon's tailer parses every
+    file, fresh or resumed, incrementally from its checkpointed offsets
+    (a request's ``cache`` is ignored).  ``platform`` forces the read
+    dialect, as in :func:`load_system`.
     """
     # imported lazily, like run_campaign: the streaming subsystem is
     # not needed by the batch-only surface above
@@ -408,7 +406,7 @@ def watch(
 
     logdir, options = _resolve(
         "watch", logdir, {**_REQUEST_DEFAULTS, "window_days": 1},
-        window_days=window_days, error_policy=error_policy, cache=cache,
+        window_days=window_days, error_policy=error_policy,
         platform=platform)
     _store(logdir)  # fail early with the shared useful message
     config = WatchConfig(

@@ -198,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="watch output directory (alerts.jsonl, "
                               "checkpoint.jsonl, report.json)")
     p_watch.add_argument("--error-policy", **policy_kwargs)
-    add_cache_flags(p_watch)
     add_platform_flag(p_watch)
     p_watch.add_argument("--window-days", type=int, default=1, metavar="N",
                          help="diagnosis window size in days (default: 1)")
@@ -637,7 +636,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 def _cmd_watch(args: argparse.Namespace) -> int:
     from repro.stream import CheckpointError
 
-    cache = _cache_from_args(args)
     print(f"watching {args.logdir} (window {args.window_days}d, "
           f"poll every {args.poll_interval}s); alerts -> "
           f"{args.out / 'alerts.jsonl'}", flush=True)
@@ -648,7 +646,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                 poll_interval=args.poll_interval,
                 error_policy=args.error_policy, resume=args.resume,
                 max_polls=args.max_polls, idle_polls=args.idle_polls,
-                cache=cache, platform=args.platform)
+                platform=args.platform)
         except (CheckpointError, ValueError) as exc:
             raise SystemExit(f"error: {exc}")
         stats = report.tail_stats

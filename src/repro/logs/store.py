@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
 import time as _time
 import warnings
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional
+from typing import IO, Container, Iterable, Iterator, Optional
 
 from repro.logs.catalogs import (
     DEFAULT_PLATFORM,
@@ -93,6 +94,47 @@ _SOURCE_PATHS: dict[LogSource, str] = {
     LogSource.ERD: "erd/event.log",
     LogSource.SCHEDULER: "sched/sched.log",
 }
+
+
+def _list_dir(directory: Path | str) -> list[str]:
+    """The names in one store directory (``os.listdir``, no stat).
+
+    A directory that cannot be listed (missing, not a directory,
+    unreadable) lists as empty.
+    """
+    try:
+        return os.listdir(directory)
+    except OSError:
+        return []
+
+
+def _segment_key(name: str) -> tuple[str, bool]:
+    """Rotated segments sort by name without ``.gz``, plain first."""
+    plain = name.removesuffix(".gz")
+    return plain, plain != name
+
+
+def _segment_names(names: Iterable[str], base_name: str) -> list[str]:
+    """The rotated segments of one source among a directory's names.
+
+    Every ``<stem>-*.log`` and ``<stem>-*.log.gz`` name, whatever its
+    type, sorted by :func:`_segment_key`.  Names alone decide, so an
+    unchanged directory has unchanged segments.
+    """
+    prefix = os.path.splitext(base_name)[0] + "-"
+    return sorted((name for name in names
+                   if name.startswith(prefix)
+                   and name.endswith((".log", ".log.gz"))),
+                  key=_segment_key)
+
+
+def _base_names(directory: Path | str, names: Container[str],
+                base_name: str) -> list[str]:
+    """``<base>`` and ``<base>.gz`` where the directory's ``names`` hold
+    them and they are regular files (or links to one)."""
+    return [name for name in (base_name, base_name + ".gz")
+            if name in names
+            and os.path.isfile(os.path.join(directory, name))]
 
 
 @dataclass(frozen=True)
@@ -512,16 +554,16 @@ class LogStore:
         (``console-20150105.log`` ...; a gzipped segment sorts exactly
         where its plain twin would), then the live base file and its
         ``.gz`` twin, which hold the newest lines -- so file order is
-        time order within a source.
+        time order within a source.  One ``listdir`` of the source's
+        directory, matched by name (:func:`_segment_names`, then
+        :func:`_base_names`).
         """
         base = self.root / _SOURCE_PATHS[source]
-        rotated = list(base.parent.glob(f"{base.stem}-*.log"))
-        rotated.extend(base.parent.glob(f"{base.stem}-*.log.gz"))
-        files = sorted(rotated, key=lambda p: p.name.removesuffix(".gz"))
-        for candidate in (base, base.with_name(base.name + ".gz")):
-            if candidate.is_file():
-                files.append(candidate)
-        return files
+        parent = base.parent
+        names = _list_dir(parent)
+        return [parent / name
+                for name in (_segment_names(names, base.name)
+                             + _base_names(parent, names, base.name))]
 
     def quarantine_path(self, source: LogSource) -> Path:
         """Where quarantined raw lines of one source are collected."""

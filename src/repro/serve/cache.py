@@ -39,6 +39,7 @@ from typing import Optional
 
 from repro.core.serialize import canonical_json
 from repro.logs.cache import CACHE_FORMAT, catalog_fingerprint
+from repro.logs.store import _SOURCE_PATHS
 
 __all__ = [
     "CachedResponse",
@@ -50,9 +51,32 @@ __all__ = [
 #: top-level store directories the fingerprint never walks
 _DERIVED_DIRS = frozenset((".parse-cache", "quarantine"))
 
+#: store-relative directories that hold log sources
+_SOURCE_DIRS = frozenset(rel.rpartition("/")[0]
+                         for rel in _SOURCE_PATHS.values())
+
+
+def _cache_rel(root: Path, cache: Path | str | None) -> Optional[str]:
+    """``cache`` relative to ``root`` when the walk may skip it.
+
+    Only a directory strictly inside the logdir that holds none of the
+    source directories: a cache that wraps log files keeps the full
+    walk, so log content is never hidden from the fingerprint.
+    """
+    if cache is None:
+        return None
+    rel = os.path.relpath(Path(cache).resolve(), root.resolve())
+    rel = rel.replace(os.sep, "/")
+    if rel == "." or rel == ".." or rel.startswith("../"):
+        return None
+    if any(src == rel or src.startswith(rel + "/") for src in _SOURCE_DIRS):
+        return None
+    return rel
+
 
 def logdir_fingerprint(logdir: Path | str,
-                       platform: Optional[str] = None) -> str:
+                       platform: Optional[str] = None,
+                       cache: Path | str | None = None) -> str:
     """Content fingerprint of one log directory under one dialect.
 
     sha256 over the manifest bytes, every log file's
@@ -60,9 +84,13 @@ def logdir_fingerprint(logdir: Path | str,
     environment fingerprint (catalog vocabulary + parsed-record layout
     + cache format) of the dialect the directory would be read under.
     Cheap (pure ``stat``, no content reads) yet conservative: any
-    append, rotation, truncation or catalog edit changes it.
+    append, rotation, truncation or catalog edit changes it.  ``cache``
+    names the request's own parse-cache directory: inside the logdir it
+    is pruned like ``.parse-cache/`` (see :func:`_cache_rel`), so the
+    first request's cache writes do not re-key its repeats.
     """
     root = Path(logdir)
+    cache_rel = _cache_rel(root, cache)
     hasher = hashlib.sha256()
     hasher.update(f"{CACHE_FORMAT}\x00".encode())
     try:
@@ -89,6 +117,9 @@ def logdir_fingerprint(logdir: Path | str,
             rel_dir = ""
         else:
             rel_dir = os.path.relpath(dirpath, top).replace(os.sep, "/") + "/"
+        if cache_rel is not None:
+            dirnames[:] = [name for name in dirnames
+                           if rel_dir + name != cache_rel]
         for name in filenames:
             rel = rel_dir + name
             if rel == "manifest.json":

@@ -105,12 +105,6 @@ class WatchConfig:
     #: finalize after this many consecutive polls with no new data
     #: (None = run until stopped)
     idle_polls: Optional[int] = None
-    #: parse cache attached to the daemon's store (same accepted values
-    #: as :meth:`repro.logs.store.LogStore.with_cache`).  It has no
-    #: effect: the tailer parses every file incrementally from its
-    #: checkpointed offsets, on a fresh start and on resume alike, and
-    #: never reads through the store's cache.
-    cache: object = None
     #: platform catalog the store is read under (a registry name from
     #: :mod:`repro.logs.catalogs`); None defers to the store's manifest
     #: (falling back to content sniffing, then the default dialect)
@@ -153,8 +147,7 @@ class WatchDaemon:
 
     def __init__(self, config: WatchConfig) -> None:
         self.config = config
-        self.store = LogStore(config.logdir, cache=config.cache,
-                              platform=config.platform)
+        self.store = LogStore(config.logdir, platform=config.platform)
         manifest = self.store.manifest()  # FileNotFoundError for bare dirs
         self.clock = manifest.clock()
         self.system = manifest.system

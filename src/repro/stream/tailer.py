@@ -23,6 +23,11 @@ previous poll:
   (the same contract batch reads honour since the ``partial_tail``
   hardening) and a crash always leaves offsets at line starts.
 
+A poll lists each source directory once and works on the live files
+only: a finalized ``.gz`` segment is kept by name and never stat'ed,
+opened or re-pathed again, so the rotated history a long-running daemon
+accumulates costs a poll only the listing of its names.
+
 Offsets are durable only at window boundaries: the tailer records, per
 file, the byte offset of the first record at or past each
 ``k * boundary_seconds`` mark (O(1) per record, no buffering), and
@@ -47,7 +52,8 @@ from typing import Optional
 from repro.logs.health import ErrorPolicy, IngestionError, IngestionHealth
 from repro.logs.parsing import REPLACEMENT_CHAR, LineParser, ParsedRecord
 from repro.logs.record import LogSource
-from repro.logs.store import LogStore, _merge_records
+from repro.logs.store import (LogStore, _base_names, _list_dir,
+                              _merge_records, _segment_names)
 from repro.obs import OBS
 from repro.simul.clock import SimClock
 
@@ -163,12 +169,33 @@ class LogTailer:
         self.health = health if health is not None else IngestionHealth()
         self.boundary_seconds = boundary_seconds
         self.stats = TailStats()
-        #: per source: path-string -> live tracking state
+        #: per source: path-string -> live tracking state, read order
         self._tracked: dict[LogSource, dict[str, TailedFile]] = {
+            source: {} for source in LogSource}
+        #: per source: path-string -> finalized state (a ``.gz`` segment
+        #: read once); kept by name alone, never stat'ed or read again
+        self._final: dict[LogSource, dict[str, TailedFile]] = {
             source: {} for source in LogSource}
         #: states whose file vanished; kept for adoption on reappearance
         self._orphans: dict[LogSource, list[TailedFile]] = {
             source: [] for source in LogSource}
+        #: finalized states whose file vanished: never adopted (like any
+        #: finalized state), so kept for the snapshot only, off the poll
+        self._retired: dict[LogSource, list[TailedFile]] = {
+            source: [] for source in LogSource}
+        #: per source directory: the sources it holds, by base name
+        #: (``p0/`` holds three, listed once per poll for all of them)
+        self._dirs: dict[Path, list[tuple[LogSource, str]]] = {}
+        for source in LogSource:
+            base = store.path_for(source)
+            self._dirs.setdefault(base.parent, []).append((source, base.name))
+        #: per source directory: its names at the last listing, as
+        #: listed and as a set
+        self._listing: dict[Path, tuple[list[str], frozenset[str]]] = {}
+        #: per source: (the base names it was derived with, its files
+        #: less the finalized ones, in read order); None once stale
+        self._live: dict[LogSource, Optional[tuple[list[str], list[Path]]]] = {
+            source: None for source in LogSource}
         # pre-seed every source bucket (batch creates them all up front)
         for source in LogSource:
             self.health.source(source)
@@ -206,8 +233,10 @@ class LogTailer:
             self._tracked[source][str(path)] = state
 
     def _iter_states(self, source: LogSource):
+        yield from self._final[source].values()
         yield from self._tracked[source].values()
         yield from self._orphans[source]
+        yield from self._retired[source]
 
     def boundary_snapshot(self, k: int) -> dict[str, dict]:
         """Durable restart offsets at window boundary ``k`` (and prune).
@@ -314,18 +343,12 @@ class LogTailer:
         Adoption precedence: same path + same inode (the common case),
         then rename (same inode, new path), then gzip finalisation
         (plain twin vanished), then content prefix (copytruncate /
-        reappearance), then a fresh state.
+        reappearance), then a fresh state.  ``files`` holds the live
+        files only: finalized segments never come here.
         """
         tracked = self._tracked[source]
         orphans = self._orphans[source]
         bucket = self.health.source(source)
-        listing: list[tuple[Path, Optional[os.stat_result]]] = []
-        for path in files:
-            try:
-                listing.append((path, path.stat()))
-            except OSError:
-                listing.append((path, None))
-
         matched: dict[str, TailedFile] = {}
         unmatched: list[tuple[Path, os.stat_result]] = []
         pool: dict[str, TailedFile] = dict(tracked)
@@ -334,17 +357,17 @@ class LogTailer:
         # the file has not shrunk below the consumed offset).  The size
         # check is skipped for gz segments: their consumed offset counts
         # *decompressed* bytes while st_size counts compressed ones.
-        for path, st in listing:
+        for path in files:
             key = str(path)
             state = pool.get(key)
-            if st is None:
+            try:
+                st = path.stat()
+            except OSError:
                 # transiently unstat-able: keep the state, skip the read
                 if state is not None:
                     matched[key] = pool.pop(key)
                 continue
-            if state is not None and state.finalized:
-                matched[key] = pool.pop(key)
-            elif (state is not None
+            if (state is not None
                     and (state.ino is None or state.ino == st.st_ino)
                     and (path.suffix == ".gz" or st.st_size >= state.offset)
                     and self._head_matches(path, state)):
@@ -438,17 +461,15 @@ class LogTailer:
                 orphans.append(state)
 
         self._tracked[source] = {
-            str(path): matched[str(path)]
-            for path, _ in listing if str(path) in matched}
+            key: matched[key]
+            for key in map(str, files) if key in matched}
         return list(self._tracked[source].values())
 
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
     def _read_increment(self, state: TailedFile) -> list[ParsedRecord]:
-        """New complete lines of one file since its consumed offset."""
-        if state.finalized:
-            return []
+        """New complete lines of one live file since its consumed offset."""
         path = state.path
         try:
             if path.suffix == ".gz":
@@ -556,11 +577,63 @@ class LogTailer:
             self.store._write_quarantine(state.source, quarantined)
         return records
 
-    def _poll_source(self, source: LogSource) -> list[list[ParsedRecord]]:
-        files = self.store.source_files(source)
+    def _list_sources(self) -> dict[LogSource, list[Path]]:
+        """Every source's live files, one directory listing per directory.
+
+        The selection and order are :meth:`LogStore.source_files`'s (the
+        same helpers over the same listing), less the finalized
+        segments.  Each source's files are derived again only when its
+        directory's names, its base files or its finalized set change,
+        so an unchanged history costs one listing and a comparison.
+        """
+        files: dict[LogSource, list[Path]] = {}
+        for directory, sources in self._dirs.items():
+            names = _list_dir(directory)
+            listed = self._listing.get(directory)
+            if listed is None or names != listed[0]:
+                listed = self._listing[directory] = (names, frozenset(names))
+                for source, _ in sources:
+                    self._live[source] = None
+            for source, base_name in sources:
+                files[source] = self._live_files(
+                    source, directory, base_name,
+                    _base_names(directory, listed[1], base_name))
+        return files
+
+    def _live_files(self, source: LogSource, directory: Path,
+                    base_name: str, bases: list[str]) -> list[Path]:
+        """The source's files in read order, less the finalized ones.
+
+        A finalized segment that left the directory is retired: kept
+        for the snapshot, as a vanished file's state is, but never
+        considered for adoption (a finalized state never is).
+        """
+        live = self._live[source]
+        if live is not None and live[0] == bases:
+            return live[1]
+        names = _segment_names(self._listing[directory][0], base_name) + bases
+        # keys are ``str(directory / name)``, built without a Path: only
+        # the live files get one
+        prefix = f"{directory}{os.sep}"
+        keys = [prefix + name for name in names]
+        final = self._final[source]
+        present = set(keys)
+        for key in [key for key in final if key not in present]:
+            self._retired[source].append(final.pop(key))
+        paths = [directory / name
+                 for name, key in zip(names, keys) if key not in final]
+        self._live[source] = (bases, paths)
+        return paths
+
+    def _poll_source(self, source: LogSource,
+                     files: list[Path]) -> list[list[ParsedRecord]]:
         lists = []
         for state in self._resolve(source, files):
             increment = self._read_increment(state)
+            if state.finalized:
+                key = str(state.path)
+                self._final[source][key] = self._tracked[source].pop(key)
+                self._live[source] = None
             if increment:
                 lists.append(increment)
         return lists
@@ -570,15 +643,16 @@ class LogTailer:
         """Read everything appended since the last poll, batch-ordered."""
         self.stats.polls += 1
         before = self.stats.bytes_read
+        files = self._list_sources()
         internal: list[list[ParsedRecord]] = []
         for source in INTERNAL_SOURCES:
-            internal.extend(self._poll_source(source))
+            internal.extend(self._poll_source(source, files[source]))
         external: list[list[ParsedRecord]] = []
         for source in EXTERNAL_SOURCES:
-            external.extend(self._poll_source(source))
+            external.extend(self._poll_source(source, files[source]))
         scheduler: list[list[ParsedRecord]] = []
         for source in SCHEDULER_SOURCES:
-            scheduler.extend(self._poll_source(source))
+            scheduler.extend(self._poll_source(source, files[source]))
         increment = PollIncrement(
             _merge_records(internal),
             _merge_records(external),
@@ -602,8 +676,8 @@ class LogTailer:
         for source in LogSource:
             bucket = self.health.source(source)
             bucket.partial_tail = sum(
-                1 for state in self._tracked[source].values()
-                if state.pending_tail)
+                1 for states in (self._final[source], self._tracked[source])
+                for state in states.values() if state.pending_tail)
             if bucket.files == 0:
                 self.health.note(
                     f"source {source.value!r} has no log files")

@@ -118,6 +118,61 @@ def tagged(time: float, tag: str) -> ParsedRecord:
                         None, {}, body=tag)
 
 
+def glob_source_files(store, source):
+    """The two-glob definition :meth:`LogStore.source_files` replaced."""
+    base = store.path_for(source)
+    rotated = list(base.parent.glob(f"{base.stem}-*.log"))
+    rotated.extend(base.parent.glob(f"{base.stem}-*.log.gz"))
+    files = sorted(rotated, key=lambda p: p.name.removesuffix(".gz"))
+    for candidate in (base, base.with_name(base.name + ".gz")):
+        if candidate.is_file():
+            files.append(candidate)
+    return files
+
+
+class TestSourceFiles:
+    def test_matches_the_glob_definition(self, tmp_path):
+        store = LogStore(tmp_path / "logs")
+        store.write(filled_bus(), SimClock(), system="TT", seed=1,
+                    duration_seconds=10.0)
+        p0 = tmp_path / "logs" / "p0"
+        for name in ("console-20150103.log.gz", "console-20150101.log",
+                     "console-20150102.log", "console-20150102.log.gz",
+                     "console-.log", "messages-20150101.log.gz",
+                     "console.log.gz", ".console-20150101.log", ".hidden",
+                     "console-20150104.log.bak", "console-20150104.LOG",
+                     "consoler-20150101.log", "consumer-1.log.gz.tmp"):
+            (p0 / name).write_bytes(b"x\n")
+        # a directory named like a segment, a symlinked segment, a
+        # dangling one, and a base that is a link to a regular file
+        (p0 / "console-20150105.log").mkdir()
+        outside = tmp_path / "elsewhere.log"
+        outside.write_bytes(b"y\n")
+        (p0 / "console-20150100.log").symlink_to(outside)
+        (p0 / "messages-20150109.log").symlink_to(tmp_path / "gone.log")
+        (p0 / "consumer.log").unlink()
+        (p0 / "consumer.log").symlink_to(outside)
+        # a base file that is a directory, and a missing source directory
+        sched = tmp_path / "logs" / "sched"
+        (sched / "sched.log").unlink()
+        (sched / "sched.log").mkdir()
+        (sched / "sched-20150101.log").write_bytes(b"z\n")
+        for path in (tmp_path / "logs" / "erd").iterdir():
+            path.unlink()
+        (tmp_path / "logs" / "erd").rmdir()
+        for source in LogSource:
+            assert store.source_files(source) == glob_source_files(
+                store, source), source
+        assert [p.name for p in store.source_files(LogSource.CONSOLE)] == [
+            "console-.log", "console-20150100.log", "console-20150101.log",
+            "console-20150102.log", "console-20150102.log.gz",
+            "console-20150103.log.gz", "console-20150105.log",
+            "console.log", "console.log.gz"]
+        assert store.source_files(LogSource.ERD) == []
+        assert [p.name for p in store.source_files(LogSource.SCHEDULER)] == [
+            "sched-20150101.log"]
+
+
 class TestMergeRecords:
     """Per-file sorted lists merge stably: ties keep file order."""
 

@@ -53,6 +53,24 @@ class TestLogdirFingerprint:
         (quarantine / "console.bad").write_bytes(b"bad line")
         assert logdir_fingerprint(logs) == before
 
+    def test_own_cache_dir_inside_the_logdir_is_pruned(self, service_root):
+        logs = service_root / "logs"
+        before = logdir_fingerprint(logs, cache=logs / "pc")
+        api.diagnose(str(logs), cache=str(logs / "pc"))
+        assert any((logs / "pc").iterdir())
+        assert logdir_fingerprint(logs, cache=logs / "pc") == before
+        # without naming it, the same files are content like any other
+        assert logdir_fingerprint(logs) != before
+
+    def test_cache_wrapping_a_source_dir_keeps_the_full_walk(
+            self, service_root):
+        logs = service_root / "logs"
+        before = logdir_fingerprint(logs, cache=logs / "p0")
+        touch_store(logs / "p0", b"2099-01-01 injected line\n")
+        assert logdir_fingerprint(logs, cache=logs / "p0") != before
+        assert (logdir_fingerprint(logs, cache=logs)
+                == logdir_fingerprint(logs))
+
     def test_platform_changes_fingerprint(self, service_root):
         logs = service_root / "logs"
         assert logdir_fingerprint(logs, "cray-xc") \

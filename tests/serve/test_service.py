@@ -170,6 +170,19 @@ class TestDiagnoseEndpoint:
         assert any((service_root / "parse-cache").iterdir())
         assert not (cwd / "parse-cache").exists()
 
+    def test_cache_inside_the_logdir_does_not_rekey_repeats(
+            self, service_root):
+        async def action(service):
+            return [await http_request(
+                service.host, service.port, "POST", "/v1/diagnose",
+                diagnose_body(cache="logs/pc")) for _ in range(3)]
+
+        results = run(with_service(service_root, action))
+        assert [status for status, _, _ in results] == [200, 200, 200]
+        assert [h["x-cache"] for _, h, _ in results] == ["miss", "hit", "hit"]
+        assert len({h["x-request-key"] for _, h, _ in results}) == 1
+        assert any((service_root / "logs" / "pc").iterdir())
+
     def test_missing_store_is_404(self, service_root):
         async def action(service):
             return await http_request(

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import builtins
 import gzip
+import io
+import os
+from collections import Counter
 
 import pytest
 
@@ -186,6 +190,27 @@ class TestRotation:
         # same content, new inode: nothing re-read
         assert tailer.health.source(LogSource.ERD).read == before
 
+    def test_deleted_finalized_segment_keeps_its_offset(self, tmp_path):
+        writer, tailer = make_pair(tmp_path)
+        writer.feed_until(0.5 * DAY)
+        tailer.poll()
+        gz = writer.gzip_rotated(LogSource.MESSAGES,
+                                 writer.rotate(LogSource.MESSAGES))
+        tailer.poll()
+        assert tailer.stats.gzip_finalized == 1
+        rel = gz.relative_to(writer.live_root).as_posix()
+        offset = tailer.boundary_snapshot(1)[rel]["offset"]
+        read = tailer.health.source(LogSource.MESSAGES).read
+        gz.unlink()
+        writer.feed_all()
+        tailer.poll()
+        # gone from disk: nothing re-read, the offset still checkpointed
+        assert tailer.boundary_snapshot(2)[rel]["offset"] == offset
+        assert tailer.stats.gzip_finalized == 1
+        _, bh = batch_records(writer.store)
+        assert (tailer.health.source(LogSource.MESSAGES).read - read
+                == bh.source(LogSource.MESSAGES).read)
+
     def test_true_truncation_counts_and_drops(self, tmp_path):
         writer, tailer = make_pair(tmp_path)
         writer.feed_until(1.0 * DAY)
@@ -260,7 +285,7 @@ class TestBoundaries:
         tailer.boundary_health(1)
         tailer.boundary_snapshot(1)
         for source in LogSource:
-            for state in tailer._tracked[source].values():
+            for state in tailer._iter_states(source):
                 assert all(k > 1 for k in state.boundaries)
                 assert all(k > 1 for k in state.boundary_counts)
 
@@ -284,3 +309,83 @@ class TestErrorPolicies:
         tailer.poll()
         assert tailer.health.source(LogSource.CONSOLE).quarantined == 1
         assert writer.store.quarantine_path(LogSource.CONSOLE).is_file()
+
+
+def history_store(root, segments):
+    """A live store whose sources each hold ``segments`` gzipped days.
+
+    Written one file per day; every day but the last is gzipped in
+    place (a finalized segment to the tailer), the last becomes the
+    live base file.
+    """
+    store = LogStore(root)
+    store.write(small_bus(segments + 1), SimClock(), system="TT", seed=1,
+                duration_seconds=(segments + 1) * DAY, rotate_daily=True)
+    for source in LogSource:
+        files = store.source_files(source)
+        if not files:
+            continue
+        *history, newest = files
+        for path in history:
+            path.with_name(path.name + ".gz").write_bytes(
+                gzip.compress(path.read_bytes()))
+            path.unlink()
+        newest.rename(store.path_for(source))
+    return store
+
+
+def counted_poll(tailer, monkeypatch):
+    """One poll with ``os.stat``, directory listings and ``open`` counted."""
+    calls = Counter()
+
+    def spy(kind, real):
+        def call(*args, **kwargs):
+            calls[kind] += 1
+            return real(*args, **kwargs)
+        return call
+
+    with monkeypatch.context() as patch:
+        for owner, name, kind in ((os, "stat", "stat"),
+                                  (os, "scandir", "list"),
+                                  (os, "listdir", "list"),
+                                  (io, "open", "open"),
+                                  (builtins, "open", "open")):
+            patch.setattr(owner, name, spy(kind, getattr(owner, name)))
+        increment = tailer.poll()
+    return calls, increment
+
+
+class TestPollCost:
+    """A poll's system calls grow with the live files, not the history."""
+
+    def poll_costs(self, tmp_path, monkeypatch, segments):
+        store = history_store(tmp_path / f"history-{segments}", segments)
+        tailer = LogTailer(store, boundary_seconds=DAY)
+        first = tailer.poll()
+        # every segment was read once and is final from here on
+        assert tailer.stats.gzip_finalized == 5 * segments
+        idle_calls, idle = counted_poll(tailer, monkeypatch)
+        assert idle.records == 0
+        base = store.path_for(LogSource.CONSOLE)
+        with base.open("ab") as handle:
+            handle.write(base.read_bytes().splitlines(keepends=True)[-1])
+        append_calls, appended = counted_poll(tailer, monkeypatch)
+        assert appended.records == 1
+        tailer.finalize_health()
+        streamed = (first.internal + appended.internal + first.external
+                    + first.scheduler)
+        expected, batch_health = batch_records(store)
+        assert canonical_json(streamed) == canonical_json(expected)
+        for source in LogSource:
+            assert (tailer.health.source(source).as_dict()
+                    == batch_health.source(source).as_dict()), source
+        return idle_calls, append_calls
+
+    def test_poll_calls_do_not_grow_with_history(self, tmp_path,
+                                                 monkeypatch):
+        idle_short, append_short = self.poll_costs(tmp_path, monkeypatch, 3)
+        idle_long, append_long = self.poll_costs(tmp_path, monkeypatch, 40)
+        assert idle_long == idle_short
+        assert append_long == append_short
+        # one listing per source directory (p0/ holds three sources)
+        assert idle_short["list"] == append_short["list"] == 4
