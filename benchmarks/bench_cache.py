@@ -1,16 +1,19 @@
 """Bench: persistent parse cache -- cold populate, warm hits, delta ingest.
 
 Four legs, each timing ``LogStore.read_all`` (the batch read every
-product path uses) except the last; numbers recorded in
-``BENCH_pr8.json``:
+product path uses) except warm construction, and one gate;
+``BENCH_pr8.json`` holds the figures of the revision that added the
+cache, as frozen history (``perfbench`` is the benchmark of record):
 
 * **cold populate** -- first read through an empty cache: full parse
   plus the price of packing + checksumming every entry to disk.  This
   is the worst case; it bounds the write-side overhead vs an uncached
-  read (``scripts/run_bench.sh`` times the same read without a cache
-  as the baseline).
+  read.
 * **warm hit** -- the same store re-read with every entry present:
   hash + unpickle only, zero files re-parsed (asserted, not assumed).
+* **warm beats uncached** -- the gate: the warm read against the same
+  read without a cache, timed by :func:`benchmarks.timing.compare`;
+  a cache that does not beat parsing is pure cost.
 * **delta ingest** -- one fresh daily segment appears in an otherwise
   warm store: only the new file is parsed, everything else is a hit.
 * **warm construction** -- ``HolisticDiagnosis.from_store`` end to end
@@ -27,6 +30,7 @@ import shutil
 
 import pytest
 
+from benchmarks.timing import compare
 from repro.core.pipeline import HolisticDiagnosis
 from repro.logs.cache import ParseCache
 from repro.logs.store import LogStore
@@ -58,6 +62,16 @@ def test_cache_warm_hit(benchmark, warm_store):
     # the property the leg exists to price: hits only, nothing re-parsed
     assert warm_store.cache.hits
     assert warm_store.cache.misses == populate_misses
+
+
+def test_warm_beats_uncached(store_s3, warm_store):
+    assert store_s3.cache is None
+    misses = warm_store.cache.misses
+    timing = compare(warm_store.read_all, store_s3.read_all, rounds=5)
+    assert warm_store.cache.misses == misses  # hits only, as timed
+    print(f"\nuncached / warm-cache read_all: {timing.ratio:.2f}x "
+          f"(per-round quartiles {timing.spread()})")
+    assert timing.ratio > 1.0  # the cache must never lose to parsing
 
 
 def test_cache_delta_ingest(benchmark, store_s3, tmp_path_factory):

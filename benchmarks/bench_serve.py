@@ -1,7 +1,8 @@
 """Bench: the diagnosis service under a 1000-client concurrent storm.
 
-Two legs, numbers recorded in ``BENCH_pr10.json`` (refresh via
-``scripts/run_bench.sh``):
+Two legs; ``BENCH_pr10.json`` holds the figures of the revision that
+added the service, as frozen history (``perfbench``'s ``serve-mixed`` is
+the benchmark of record):
 
 * **warm-cache storm** -- 1000 concurrent clients, each a real TCP
   connection speaking real HTTP/1.1, all requesting the same diagnosis
@@ -18,16 +19,12 @@ The store is deliberately small (the serve-test fixture shape): the
 legs price the *service* -- socket handling, parsing, fingerprinting,
 cache, coalescing -- not the pipeline, whose cost is bench_cache.py's
 and bench_full_pipeline.py's business.
-
-Set ``REPRO_BENCH_OUT=<path>`` to dump the measured figures as JSON
-(scripts/run_bench.sh uses this to refresh BENCH_pr10.json).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
 import time
 
 import pytest
@@ -108,19 +105,6 @@ def _percentile(values: list[float], q: float) -> float:
     return ordered[index]
 
 
-def _dump(leg: str, figures: dict) -> None:
-    out = os.environ.get("REPRO_BENCH_OUT")
-    if not out:
-        return
-    existing = {}
-    if os.path.exists(out):
-        with open(out) as fh:
-            existing = json.load(fh)
-    existing[leg] = figures
-    with open(out, "w") as fh:
-        json.dump(existing, fh, indent=2, sort_keys=True)
-
-
 def test_serve_warm_cache_storm(bench_root):
     async def go():
         service = DiagnosisService(ServiceConfig(
@@ -154,14 +138,9 @@ def test_serve_warm_cache_storm(bench_root):
                                       + cache_stats["misses"])
     throughput = len(results) / wall
 
-    _dump("warm_cache_storm", {
-        "clients": WARM_CLIENTS,
-        "p50_ms": round(p50_ms, 2),
-        "p99_ms": round(p99_ms, 2),
-        "wall_s": round(wall, 3),
-        "requests_per_s": round(throughput, 1),
-        "cache_hit_rate": round(hit_rate, 4),
-    })
+    print(f"\nwarm storm, {WARM_CLIENTS} clients: p50 {p50_ms:.1f} ms, "
+          f"p99 {p99_ms:.1f} ms, {throughput:.0f} req/s, "
+          f"hit rate {hit_rate:.4f}")
 
     # the SLO gates
     assert hit_rate >= WARM_HIT_RATE_GATE, cache_stats
@@ -197,11 +176,5 @@ def test_serve_cold_coalesced_storm(bench_root):
     # every other client either joined the single flight or hit the
     # cache the leader populated -- nobody recomputed
     assert coalesced + hits == COLD_CLIENTS - 1
-
-    _dump("cold_coalesced_storm", {
-        "clients": COLD_CLIENTS,
-        "pipeline_runs": flights,
-        "coalesced": coalesced,
-        "cache_hits": hits,
-        "wall_s": round(wall, 3),
-    })
+    print(f"\ncold storm, {COLD_CLIENTS} clients: {flights} pipeline run, "
+          f"{coalesced} coalesced, {hits} cache hits, {wall:.3f} s")

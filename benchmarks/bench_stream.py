@@ -15,8 +15,7 @@ run on the S3 scenario so the numbers are comparable with the ingestion
 benches.
 """
 
-import time
-
+from benchmarks.timing import compare
 from repro.core.index import StreamIndex
 from repro.logs.health import ErrorPolicy
 from repro.logs.record import LogSource
@@ -73,18 +72,11 @@ def test_index_rebuild_per_chunk(benchmark, store_s3):
 
 def test_append_beats_rebuild(store_s3):
     chunks = _chunked(_records(store_s3))
-    append_times, rebuild_times = [], []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        _stream_append(chunks)
-        append_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        _rebuild_per_chunk(chunks)
-        rebuild_times.append(time.perf_counter() - t0)
-    ratio = min(rebuild_times) / min(append_times)
-    print(f"\nindex rebuild-per-chunk / streamed-append: {ratio:.1f}x "
-          f"({CHUNKS} chunks)")
-    assert ratio > 1.0  # appending must never lose to rebuilding
+    timing = compare(lambda: _stream_append(chunks),
+                     lambda: _rebuild_per_chunk(chunks), rounds=3)
+    print(f"\nindex rebuild-per-chunk / streamed-append: {timing.ratio:.1f}x "
+          f"(per-round quartiles {timing.spread()}; {CHUNKS} chunks)")
+    assert timing.ratio > 1.0  # appending must never lose to rebuilding
 
 
 def _idle_daemon(store, base, history_days=0):
@@ -107,11 +99,9 @@ def _idle_daemon(store, base, history_days=0):
     return daemon
 
 
-def _idle_tick_s(daemon):
-    t0 = time.perf_counter()
+def _idle_ticks(daemon):
     for _ in range(IDLE_TICKS):
         assert daemon.tick() == 0
-    return (time.perf_counter() - t0) / IDLE_TICKS
 
 
 def test_idle_poll_overhead(benchmark, store_s3, tmp_path):
@@ -128,12 +118,10 @@ def test_idle_poll_ignores_rotated_history(store_s3, tmp_path):
     segments = sum(len(history.store.source_files(source)) - 1
                    for source in LogSource)
     assert segments == HISTORY_DAYS * len(LogSource)
-    fresh_times, history_times = [], []
-    for _ in range(IDLE_ROUNDS):
-        fresh_times.append(_idle_tick_s(fresh))
-        history_times.append(_idle_tick_s(history))
-    ratio = min(history_times) / min(fresh_times)
+    timing = compare(lambda: _idle_ticks(fresh), lambda: _idle_ticks(history),
+                     rounds=IDLE_ROUNDS)
     print(f"\nidle tick with {segments} gzipped segments / without: "
-          f"{ratio:.2f}x ({min(history_times) * 1e3:.3f} / "
-          f"{min(fresh_times) * 1e3:.3f} ms)")
-    assert ratio < 2.0  # the history is listed, never stat'ed or read
+          f"{timing.ratio:.2f}x ({timing.b / IDLE_TICKS * 1e3:.3f} / "
+          f"{timing.a / IDLE_TICKS * 1e3:.3f} ms; per-round quartiles "
+          f"{timing.spread()})")
+    assert timing.ratio < 2.0  # the history is listed, never stat'ed or read

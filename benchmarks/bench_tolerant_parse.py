@@ -5,16 +5,21 @@ is <10% overhead on clean logs for the hardened path (whole-file read,
 one mojibake scan, skew tracking, per-source accounting) against a
 faithful replica of the pre-hardening reader.  Both variants parse the
 same S3 store; ``test_overhead_within_budget`` computes the ratio with
-interleaved min-of-N timing so one number answers the question directly
-(a looser 25% assertion bound keeps the gate robust to shared-runner
-noise while the benchmark table records the true figure).
+:func:`benchmarks.timing.compare` so one number answers the question
+directly (a looser 25% assertion bound keeps the gate robust to
+shared-runner noise while the printed figure records the true one).
 """
 
-import time
-
+from benchmarks.timing import compare
 from repro.logs.health import ErrorPolicy, IngestionHealth
 from repro.logs.parsing import LineParser
 from repro.logs.store import _SOURCE_PATHS
+
+#: alternated rounds of the overhead gate.  Min-of-rounds holds only if
+#: both sides meet the host's fast spells; at 7 rounds the verdict swung
+#: from -17 % to +32 % around a per-round median of +12-15 % on a shared
+#: 2-vCPU host, so the gate ran past its 25 % bound on noise
+OVERHEAD_ROUNDS = 15
 
 
 def _seed_read_all(store, clock):
@@ -68,15 +73,10 @@ def test_overhead_within_budget(store_s3):
     hardened = _hardened_read_all(store_s3, clock)
     assert len(baseline) == len(hardened)  # identical parse on clean logs
 
-    seed_times, hard_times = [], []
-    for _ in range(7):
-        t0 = time.perf_counter()
-        _seed_read_all(store_s3, clock)
-        seed_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        _hardened_read_all(store_s3, clock)
-        hard_times.append(time.perf_counter() - t0)
-    overhead = (min(hard_times) - min(seed_times)) / min(seed_times)
+    timing = compare(lambda: _seed_read_all(store_s3, clock),
+                     lambda: _hardened_read_all(store_s3, clock),
+                     rounds=OVERHEAD_ROUNDS)
+    overhead = timing.ratio - 1
     print(f"\ntolerant-parse overhead on clean logs: {overhead:+.1%} "
-          f"(target <10%)")
+          f"(per-round quartiles {timing.spread('+.1%', -1)}; target <10%)")
     assert overhead < 0.25

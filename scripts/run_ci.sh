@@ -120,7 +120,17 @@ python -m pytest tests/serve/test_cli_smoke.py -m serve -q
 echo "== benchmark shape smoke (--benchmark-disable) =="
 # bench_serve.py runs its storms in full here (it does not use the
 # pytest-benchmark fixture), so this stage is also the service SLO
-# gate: warm p99, warm hit rate, exactly-one-pipeline-run cold
+# gate: warm p99, warm hit rate, exactly-one-pipeline-run cold.  It
+# also runs the A/B timing gates, each timed by one helper
+# (benchmarks/timing.py: one pinned CPU, collector paused, sides
+# alternated, per-round ratio quartiles printed beside the verdict):
+# bench_tolerant_parse.py::test_overhead_within_budget (< 25 %),
+# bench_stream.py::test_append_beats_rebuild (> 1.0x),
+# bench_stream.py::test_idle_poll_ignores_rotated_history (< 2.0x),
+# bench_supervisor.py::test_supervision_overhead_within_budget (< 25 %)
+# and bench_cache.py::test_warm_beats_uncached (warm read beats the
+# uncached one, > 1.0x); tests/test_bench_timing.py (tier-1) shows the
+# helper fails a planted slowdown at both kinds of bound
 python -m pytest benchmarks/ -m 'not chaos' --benchmark-disable -q
 
 if [[ "${1:-}" == "--fast" ]]; then

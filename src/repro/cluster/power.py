@@ -81,14 +81,3 @@ class PowerModel:
             attrs={"node": node.cname, "fet": fet},
             severity=Severity.CRITICAL,
         )
-
-    def cab_power_record(self, time: float, cabinet: str, detail: str) -> LogRecord:
-        """Cabinet-controller power fault record."""
-        return LogRecord(
-            time=time,
-            source=LogSource.CONTROLLER,
-            component=cabinet,
-            event="cab_power_fault",
-            attrs={"detail": detail},
-            severity=Severity.CRITICAL,
-        )

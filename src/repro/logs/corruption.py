@@ -142,10 +142,6 @@ class CorruptionReport:
     def count(self, mode: CorruptionMode) -> int:
         return self.mutated_lines.get(mode.value, 0)
 
-    @property
-    def total_mutations(self) -> int:
-        return sum(self.mutated_lines.values())
-
 
 class CorruptionInjector:
     """Mutates a written :class:`LogStore` on disk, deterministically."""

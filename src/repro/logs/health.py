@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.logs.record import LogSource
 
@@ -248,11 +248,3 @@ def conservation_violations(health: IngestionHealth) -> list[str]:
                 f" + quarantined={bucket.quarantined} + ignored={bucket.ignored}"
             )
     return problems
-
-
-def health_for(sources: Iterable[LogSource]) -> IngestionHealth:
-    """A health object pre-seeded with empty buckets for ``sources``."""
-    health = IngestionHealth()
-    for source in sources:
-        health.source(source)
-    return health

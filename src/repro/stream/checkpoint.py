@@ -13,10 +13,16 @@ Event vocabulary::
                    missing=[...]      # sources frozen absent at startup
     alerts         ids=[...]          # durably acknowledged alert ids
     window-close   window, start_day, end_day, watermark,
-                   offsets={rel: {offset, prefix}},   # boundary offsets
+                   offsets={rel: {offset, prefix[, final]}},
                    health={...},                      # boundary health
                    report={...}                       # close-time report
     finalize       digest, windows
+
+``offsets`` holds the boundary offsets of the live and still-changing
+files.  An entry marked ``final`` is a finalized segment's last offset:
+later events omit that file, and :meth:`WatchCheckpoint.load` keeps the
+entry until an event names the file again.  Checkpoints written before
+``final`` existed carry every file in every event and replay as before.
 
 The ``window-close`` event is the heart of exactly-once streaming: it
 captures the *boundary-consistent* pair of per-file restart offsets and
@@ -91,7 +97,8 @@ class WatchState:
         self.windows: dict[int, dict] = {}
         #: every durably acknowledged alert id
         self.emitted_ids: set[str] = set()
-        #: per-file restart offsets of the *latest* closed window
+        #: per-file restart offsets of the *latest* closed window (its
+        #: event's entries, plus the ``final`` ones of earlier events)
         self.offsets: dict[str, dict] = {}
         #: watermark recorded at the latest closed window
         self.watermark: float = float("-inf")
@@ -159,7 +166,10 @@ class WatchCheckpoint:
                 state.emitted_ids.update(record.get("ids", ()))
             elif kind == "window-close":
                 state.windows[int(record["window"])] = record
-                state.offsets = record.get("offsets", {})
+                offsets = {rel: entry for rel, entry in state.offsets.items()
+                           if entry.get("final")}
+                offsets.update(record.get("offsets", {}))
+                state.offsets = offsets
                 state.watermark = float(record.get("watermark",
                                                    float("-inf")))
                 health = record.get("health")

@@ -109,7 +109,7 @@ class TailedFile:
 
     __slots__ = ("path", "source", "ino", "offset", "prefix", "parser",
                  "finalized", "pending_tail", "boundaries", "next_k",
-                 "counts", "boundary_counts")
+                 "counts", "boundary_counts", "settled")
 
     def __init__(self, path: Path, source: LogSource, clock: SimClock,
                  ino: Optional[int] = None, offset: int = 0,
@@ -139,6 +139,9 @@ class TailedFile:
         #: live counts is exactly this file's *post-boundary* health
         #: contribution, which a resumed run will re-read and re-count
         self.boundary_counts: dict[int, tuple[int, ...]] = {}
+        #: a boundary snapshot carried this finalized file's last offset
+        #: (marked ``final``); later snapshots omit the file
+        self.settled = False
 
     def boundary_offset(self, k: int) -> int:
         """Restart offset for window boundary ``k`` (see module doc)."""
@@ -214,12 +217,14 @@ class LogTailer:
         seeded state carries no inode (the checkpoint may be replayed on
         a different filesystem); the first poll re-establishes identity
         by content prefix, falling back to a fresh read when the prefix
-        no longer matches.
+        no longer matches.  A ``final`` entry whose file is gone is not
+        seeded: an uninterrupted run keeps such a segment only as
+        retired, never adopted, and never written again.
         """
         for rel, entry in offsets.items():
             path = self.store.root / rel
             source = self._source_of(path)
-            if source is None:
+            if source is None or (entry.get("final") and not path.exists()):
                 continue
             state = TailedFile(
                 path, source, self.clock,
@@ -243,12 +248,20 @@ class LogTailer:
 
         Call :meth:`boundary_health` for the same ``k`` *first*: the
         snapshot prunes the per-file marks the health computation needs.
+
+        A finalized segment (a ``.gz`` read to its end) with no mark past
+        ``k`` has reached the offset every later boundary would give it.
+        Its entry is written once more, marked ``"final": true``, and
+        omitted from every later snapshot, so a snapshot lists the live
+        and still-changing files only; a checkpoint replay keeps final
+        entries across snapshots (:meth:`WatchCheckpoint.load`).
         """
         snapshot: dict[str, dict] = {}
         for source in LogSource:
             for state in self._iter_states(source):
-                rel = self._rel(state.path)
-                snapshot[rel] = {
+                if state.settled:
+                    continue
+                entry = {
                     "offset": state.boundary_offset(k),
                     "prefix": state.prefix.hex(),
                 }
@@ -258,6 +271,11 @@ class LogTailer:
                 state.boundary_counts = {j: c for j, c in
                                          state.boundary_counts.items()
                                          if j > k}
+                if (state.finalized and not state.boundaries
+                        and entry["offset"] == state.offset):
+                    entry["final"] = True
+                    state.settled = True
+                snapshot[self._rel(state.path)] = entry
         return snapshot
 
     def boundary_health(self, k: int) -> IngestionHealth:

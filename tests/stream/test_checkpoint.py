@@ -56,6 +56,22 @@ class TestLoad:
         assert not state.truncated_tail
         assert not state.finalized
 
+    def test_final_offsets_are_kept_until_named_again(self, tmp_path):
+        cp = make_checkpoint(tmp_path)
+        seg = {"offset": 90, "prefix": "aa", "final": True}
+        for window, offsets in enumerate((
+                {"p0/console.log": {"offset": 10, "prefix": "00"},
+                 "p0/console-1.log.gz": seg,
+                 "p0/console-1.log": {"offset": 90, "prefix": "aa"}},
+                {"p0/console.log": {"offset": 20, "prefix": "00"}},
+                {"p0/console.log": {"offset": 30, "prefix": "00"}})):
+            cp.append("window-close", window=window, offsets=offsets)
+        # a final entry survives events that omit it; a plain one, as in
+        # checkpoints whose every event lists every file, does not
+        assert cp.load().offsets == {
+            "p0/console.log": {"offset": 30, "prefix": "00"},
+            "p0/console-1.log.gz": seg}
+
     def test_fresh_state_before_any_window(self, tmp_path):
         cp = make_checkpoint(tmp_path)
         cp.append("watch-start", window_days=1, error_policy="skip",

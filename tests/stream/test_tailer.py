@@ -15,6 +15,7 @@ from repro.logs.health import ErrorPolicy, IngestionError, IngestionHealth
 from repro.logs.record import LogSource
 from repro.logs.store import LogStore
 from repro.simul.clock import DAY, SimClock
+from repro.stream.checkpoint import WatchCheckpoint
 from repro.stream.replay import ReplayWriter
 from repro.stream.tailer import LogTailer
 
@@ -199,13 +200,21 @@ class TestRotation:
         tailer.poll()
         assert tailer.stats.gzip_finalized == 1
         rel = gz.relative_to(writer.live_root).as_posix()
-        offset = tailer.boundary_snapshot(1)[rel]["offset"]
+        first = tailer.boundary_snapshot(1)
+        assert first[rel]["final"]
         read = tailer.health.source(LogSource.MESSAGES).read
         gz.unlink()
         writer.feed_all()
         tailer.poll()
-        # gone from disk: nothing re-read, the offset still checkpointed
-        assert tailer.boundary_snapshot(2)[rel]["offset"] == offset
+        # gone from disk: nothing re-read; its final offset was written
+        # once, and a checkpoint replay keeps it
+        second = tailer.boundary_snapshot(2)
+        assert rel not in second
+        checkpoint = WatchCheckpoint(tmp_path / "watch")
+        for window, offsets in enumerate((first, second)):
+            checkpoint.append("window-close", window=window,
+                              offsets=offsets)
+        assert checkpoint.load().offsets[rel] == first[rel]
         assert tailer.stats.gzip_finalized == 1
         _, bh = batch_records(writer.store)
         assert (tailer.health.source(LogSource.MESSAGES).read - read
