@@ -58,13 +58,15 @@ other path re-parses once on its next read.  That costs time, never
 bytes.  Records of paths that no longer exist stay until ``repro cache
 clear``; each is under 300 bytes.
 
-Entries are **policy-independent**: the parse is stored in canonical
-form (records + line accounting + the malformed raw lines), and the
-requested :class:`~repro.logs.health.ErrorPolicy` is applied at load
-time -- ``skip`` folds malformed lines into ``ignored``, ``quarantine``
-hands them back for the quarantine file, ``strict`` re-raises the exact
-:class:`~repro.logs.health.IngestionError` the direct parse would have
-raised.  One cached parse therefore serves every policy byte-for-byte.
+Entries are **policy-independent**: the parse is stored in the
+canonical form every batch parse returns (records + line accounting +
+the malformed raw lines, all counted ``quarantined``), and the requested
+:class:`~repro.logs.health.ErrorPolicy` is applied after the load by
+:func:`repro.logs.store.apply_policy`, the one policy step an uncached
+read takes too -- ``skip`` folds malformed lines into ``ignored``,
+``quarantine`` hands them back for the quarantine file, ``strict``
+raises on the first of them.  One cached parse therefore serves every
+policy byte-for-byte.
 
 Wire format and self-healing
 ----------------------------
@@ -117,7 +119,7 @@ from repro.core.artifacts import (
     read_checksummed_blob,
     write_checksummed_blob,
 )
-from repro.logs.health import ErrorPolicy, IngestionError, SourceHealth
+from repro.logs.health import ErrorPolicy, SourceHealth
 from repro.logs.parsing import LineParser, ParsedRecord
 from repro.obs import OBS
 
@@ -282,16 +284,16 @@ class ParseCache:
         columns (zero re-parse).  A miss on a file that only grew since
         its path record was written parses just the appended lines (see
         the module doc); any other miss parses the *same* text whole.
-        Either way the canonical entry is stored before returning.
-        Output is byte-identical to :func:`repro.logs.store.parse_log_file`
-        without a cache, for every error policy -- including the
-        ``strict`` refusal, which is re-raised from the cached malformed
-        lines with the identical message.
+        Either way the canonical entry is stored before returning, and
+        :meth:`_adapt` applies the policy.  Output is byte-identical to
+        :func:`repro.logs.store.parse_log_file` without a cache, for
+        every error policy -- including the ``strict`` refusal, raised
+        from the cached malformed lines by the same policy step.
         """
         # imported here: store.py deliberately does not import this
         # module at top level (it passes the cache through by duck
         # typing), so the two stay import-cycle free
-        from repro.logs.store import _TIME_KEY, _load_log_text
+        from repro.logs.store import _TIME_KEY, _load_log_text, _traced_parse
 
         text, retried = _load_log_text(path)
         env = self._env_fingerprint(parser)
@@ -318,17 +320,17 @@ class ParseCache:
         if resumable and prefixes[0] == record.prefix:
             base = self._load_entry(self.entry_path(record.key, env), path)
         if base is None:
-            records, health, malformed = self._parse_text(
-                text, parser, path, retried, "miss")
+            records, health, malformed = _traced_parse(
+                text, parser, path, retried, cache_tag="miss")
             columns = _pack_records(records)
         else:
             self.deltas += 1
             _tally("cache.delta")
             stored = base["columns"]
             resume_at = stored[0][-1] if stored[0] else None
-            new, delta_health, new_malformed = self._parse_text(
-                text[record.length:], parser, path, retried, "delta",
-                resume_at=resume_at)
+            new, delta_health, new_malformed = _traced_parse(
+                text[record.length:], parser, path, retried, resume_at,
+                cache_tag="delta")
             records = _unpack_records(stored) + new
             if new and resume_at is not None and new[0].time < resume_at:
                 # backward jitter across the boundary: the one stable
@@ -353,36 +355,6 @@ class ParseCache:
             _unlink(self.entry_path(record.key, env))
         return self._adapt(entry, policy, path, records=records)
 
-    def _parse_text(self, text: str, parser: LineParser, path: Path,
-                    retried: int, tag: str, **resume):
-        """The canonical parse of (the new part of) one file, traced.
-
-        Collects malformed lines (quarantine semantics) so one entry
-        serves every policy; :meth:`_adapt` applies the requested one,
-        including the strict raise.  ``resume`` carries ``resume_at``
-        for a delta (see :func:`repro.logs.store._parse_log_text`).
-        """
-        from repro.logs.store import (
-            _add_file_bytes,
-            _emit_ingest_metrics,
-            _parse_log_text,
-        )
-
-        if not OBS.enabled:
-            return _parse_log_text(text, parser, ErrorPolicy.QUARANTINE,
-                                   path, retried, **resume)
-        with OBS.span("logs.parse_file", "ingest", file=path.name,
-                      cache=tag) as span:
-            result = _parse_log_text(text, parser, ErrorPolicy.QUARANTINE,
-                                     path, retried, **resume)
-            health = result[1]
-            span.add(records=health.parsed, read=health.read,
-                     quarantined=health.quarantined,
-                     recovered=health.recovered)
-            _add_file_bytes(span, path)
-            _emit_ingest_metrics(health)
-        return result
-
     def lookup(
         self,
         path: Path,
@@ -397,9 +369,9 @@ class ParseCache:
         same hit and parses a miss.  Counts a miss neither here nor in
         the metrics; the caller owns what happens to the file next.
 
-        Raises :class:`IngestionError` exactly when the cached parse
-        would: an unreadable file, or a ``strict`` policy against an
-        entry holding malformed lines.
+        Raises :class:`~repro.logs.health.IngestionError` exactly when
+        the cached parse would: an unreadable file, or a ``strict``
+        policy against an entry holding malformed lines.
         """
         from repro.logs.store import _load_log_text
 
@@ -483,27 +455,19 @@ class ParseCache:
         path: Path,
         records: Optional[list[ParsedRecord]] = None,
     ) -> tuple[list[ParsedRecord], SourceHealth, list[str]]:
-        """Materialise the canonical entry under the requested policy.
+        """Unpack the canonical entry and apply the requested policy.
 
-        Mirrors line-for-line what :func:`_parse_log_text` does with
-        the policy inline: ``strict`` raises on the first malformed
-        line (same message, same metadata), ``skip`` counts malformed
-        lines as ignored, ``quarantine`` hands them back raw.
+        ``records`` are the entry's records when the caller already
+        holds them (a miss or delta just built them); the policy step is
+        :func:`repro.logs.store.apply_policy`, the one every batch read
+        takes.
         """
-        malformed: list[str] = entry["malformed"]
-        if policy is ErrorPolicy.STRICT and malformed:
-            line = malformed[0]
-            raise IngestionError(
-                f"malformed line in {path}: {line[:120]!r}",
-                path=str(path), line=line)
+        from repro.logs.store import apply_policy
+
         if records is None:
             records = _unpack_records(entry["columns"])
-        health = SourceHealth(**entry["health"])
-        if policy is ErrorPolicy.QUARANTINE:
-            return records, health, list(malformed)
-        health.ignored += health.quarantined
-        health.quarantined = 0
-        return records, health, []
+        return apply_policy(records, SourceHealth(**entry["health"]),
+                            entry["malformed"], policy, path)
 
     # ------------------------------------------------------------------
     # maintenance (the ``repro cache`` subcommand)

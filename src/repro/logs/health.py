@@ -155,14 +155,6 @@ class IngestionHealth:
         return all(s.conserved for s in self.sources.values())
 
     @property
-    def total_read(self) -> int:
-        return sum(s.read for s in self.sources.values())
-
-    @property
-    def total_parsed(self) -> int:
-        return sum(s.parsed for s in self.sources.values())
-
-    @property
     def total_quarantined(self) -> int:
         return sum(s.quarantined for s in self.sources.values())
 

@@ -179,9 +179,10 @@ def parse_log_file(
 ) -> tuple[list[ParsedRecord], SourceHealth, list[str]]:
     """Parse one physical log file under an error policy (traced).
 
-    When observability is enabled (:mod:`repro.obs`) every call records
-    one ``logs.parse_file`` span carrying the file name plus line/byte
-    accounting, and the ``ingest.*`` counters advance.
+    Returns ``(records, health, quarantined_lines)`` and writes nothing;
+    quarantine persistence is the caller's job.  Every read, cached or
+    not, is the canonical parse (:func:`_traced_parse`) followed by the
+    one policy step, :func:`apply_policy`.
 
     ``cache`` is an optional :class:`repro.logs.cache.ParseCache`: a
     content-hash hit skips the parse entirely (only ``cache.*`` metrics
@@ -191,15 +192,70 @@ def parse_log_file(
     """
     if cache is not None:
         return cache.parse(path, parser, policy)
+    text, retried = _load_log_text(path)
+    records, health, malformed = _traced_parse(text, parser, path, retried)
+    return apply_policy(records, health, malformed, policy, path)
+
+
+def apply_policy(
+    records: list[ParsedRecord],
+    health: SourceHealth,
+    malformed: list[str],
+    policy: ErrorPolicy,
+    path: Path,
+) -> tuple[list[ParsedRecord], SourceHealth, list[str]]:
+    """Decide the fate of one file's malformed lines under ``policy``.
+
+    The single policy step of every batch read (uncached, and cache
+    hits, misses and deltas alike): ``health`` and ``malformed`` are the
+    canonical parse's (every malformed line counted ``quarantined`` and
+    handed back raw).  ``strict`` raises on the first malformed line,
+    ``skip`` folds the malformed lines into ``ignored``, ``quarantine``
+    hands them back for the quarantine file.  ``health`` is updated in
+    place.
+    """
+    if policy is ErrorPolicy.STRICT and malformed:
+        line = malformed[0]
+        raise IngestionError(
+            f"malformed line in {path}: {line[:120]!r}",
+            path=str(path), line=line,
+        )
+    if policy is ErrorPolicy.QUARANTINE:
+        return records, health, malformed
+    health.ignored += health.quarantined
+    health.quarantined = 0
+    return records, health, []
+
+
+def _traced_parse(
+    text: str,
+    parser: LineParser,
+    path: Path,
+    retried: int = 0,
+    resume_at: Optional[float] = None,
+    cache_tag: Optional[str] = None,
+) -> tuple[list[ParsedRecord], SourceHealth, list[str]]:
+    """The canonical parse of (the new part of) one file's text, traced.
+
+    When observability is enabled (:mod:`repro.obs`) every call records
+    one ``logs.parse_file`` span carrying the file name plus line/byte
+    accounting (and a ``cache`` tag, ``"miss"`` or ``"delta"``, for a
+    parse cache's parse), and the ``ingest.*`` counters advance by the
+    canonical accounting.  ``resume_at`` is :func:`_parse_log_text`'s.
+    """
     if not OBS.enabled:
-        return _parse_log_file(path, parser, policy)
-    with OBS.span("logs.parse_file", "ingest", file=path.name) as span:
-        records, health, quarantined = _parse_log_file(path, parser, policy)
+        return _parse_log_text(text, parser, retried, resume_at)
+    tags = {"file": path.name}
+    if cache_tag is not None:
+        tags["cache"] = cache_tag
+    with OBS.span("logs.parse_file", "ingest", **tags) as span:
+        result = _parse_log_text(text, parser, retried, resume_at)
+        health = result[1]
         span.add(records=health.parsed, read=health.read,
                  quarantined=health.quarantined, recovered=health.recovered)
         _add_file_bytes(span, path)
         _emit_ingest_metrics(health)
-        return records, health, quarantined
+    return result
 
 
 def _add_file_bytes(span, path: Path) -> None:
@@ -260,8 +316,6 @@ def _load_log_text(path: Path) -> tuple[str, int]:
 def _parse_log_text(
     text: str,
     parser: LineParser,
-    policy: ErrorPolicy,
-    path: Path,
     retried: int = 0,
     resume_at: Optional[float] = None,
 ) -> tuple[list[ParsedRecord], SourceHealth, list[str]]:
@@ -269,7 +323,7 @@ def _parse_log_text(
 
     Factored out of the on-disk path so the parse cache can hash and
     parse the *same* bytes -- no read/parse race can store an entry
-    under a stale key.  ``path`` is for error messages only.
+    under a stale key.
 
     The returned records are guaranteed time-sorted.  Writers emit in
     order, so this is normally a free pass over an already-ordered list;
@@ -290,7 +344,7 @@ def _parse_log_text(
     a watch of one file see the same lines.
     """
     records: list[ParsedRecord] = []
-    quarantined: list[str] = []
+    malformed: list[str] = []
     # local counters: attribute increments per line would dominate
     # the hot loop (measured in benchmarks/bench_tolerant_parse.py)
     read = parsed = recovered = ignored = 0
@@ -326,42 +380,16 @@ def _parse_log_text(
                 last_time = t
         elif status == "blank":
             ignored += 1
-        else:  # malformed
-            if policy is ErrorPolicy.STRICT:
-                raise IngestionError(
-                    f"malformed line in {path}: {line[:120]!r}",
-                    path=str(path), line=line,
-                )
-            if policy is ErrorPolicy.QUARANTINE:
-                quarantined.append(line)
-            else:
-                ignored += 1
+        else:
+            malformed.append(line)
     if not in_order:
         records.sort(key=_TIME_KEY)
     health = SourceHealth(
-        read=read, parsed=parsed, quarantined=len(quarantined),
+        read=read, parsed=parsed, quarantined=len(malformed),
         ignored=ignored, recovered=recovered, files=1,
         retried_files=retried, partial_tail=partial_tail,
     )
-    return records, health, quarantined
-
-
-def _parse_log_file(
-    path: Path,
-    parser: LineParser,
-    policy: ErrorPolicy,
-) -> tuple[list[ParsedRecord], SourceHealth, list[str]]:
-    """The untraced parse (see :func:`parse_log_file` for the contract).
-
-    Returns ``(records, health, quarantined_lines)``.  The function
-    writes nothing; quarantine persistence is the caller's job.
-    Transient ``OSError`` during the read is retried up to
-    :data:`_IO_RETRIES` times (see :func:`_load_log_text`), so the
-    conservation law holds even across retries -- accounting starts
-    only once the text is in memory.
-    """
-    text, retried = _load_log_text(path)
-    return _parse_log_text(text, parser, policy, path, retried)
+    return records, health, malformed
 
 
 class LogStore:

@@ -233,15 +233,6 @@ class ReportCache:
             self._entries.popitem(last=False)
             self.evicted += 1
 
-    def invalidate_logdir(self, logdir: Path | str) -> int:
-        """Drop every entry for one directory; returns the count."""
-        target = str(Path(logdir))
-        stale = [k for k, v in self._entries.items() if v.logdir == target]
-        for k in stale:
-            del self._entries[k]
-        self.invalidated += len(stale)
-        return len(stale)
-
     def clear(self) -> int:
         """Drop everything; returns the count."""
         count = len(self._entries)

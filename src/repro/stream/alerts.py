@@ -13,11 +13,11 @@ Exactly-once across crashes rests on two properties:
   identity (kind, time, node, event / window geometry), never of wall
   clock or emission order, so the same log line re-tailed after a
   resume produces the *same* alert id;
-* **ack-after-write** -- ids are checkpointed only after the alert line
-  is flushed to ``alerts.jsonl``; on resume the dedup set is the union
-  of checkpointed ids and a crash-tolerant scan of the alert file, so
-  a kill between the two writes cannot duplicate an alert, and a kill
-  before either simply re-emits it from the re-tailed line.
+* **the alert file is the record** -- each alert line is flushed to
+  ``alerts.jsonl`` as it is emitted, and on resume the dedup set is a
+  crash-tolerant scan of that file: an alert whose line reached the
+  file is never emitted again, and one killed before (or while) its
+  line was written is re-emitted whole from the re-tailed record.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.external import NODE_SCOPED_PRECURSORS
 from repro.core.serialize import canonical_json
@@ -95,12 +95,11 @@ def _about(record: ParsedRecord) -> str:
 class AlertEngine:
     """Turns tailed records and closed windows into deduplicated alerts."""
 
-    def __init__(self, root: Path | str,
-                 emitted: Optional[Iterable[str]] = None) -> None:
+    def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
         self.path = self.root / ALERTS_NAME
-        #: every id ever emitted (seeded from the checkpoint on resume)
-        self._emitted: set[str] = set(emitted or ())
+        #: every id ever emitted (seeded from the alert file on resume)
+        self._emitted: set[str] = set()
 
     # ------------------------------------------------------------------
     # alert construction
@@ -129,7 +128,7 @@ class AlertEngine:
     # ------------------------------------------------------------------
     def emit(self, alerts: Sequence[Alert]) -> list[Alert]:
         """Append the not-yet-emitted alerts to the file; flush; return
-        them (their ids are the caller's to checkpoint)."""
+        them."""
         fresh: list[Alert] = []
         deduped = 0
         for alert in alerts:
@@ -152,24 +151,17 @@ class AlertEngine:
                 OBS.metrics.counter("stream.alerts.deduped").inc(deduped)
         return fresh
 
-    @property
-    def emitted_count(self) -> int:
-        return len(self._emitted)
-
     # ------------------------------------------------------------------
     # resume support
     # ------------------------------------------------------------------
     @classmethod
-    def resume(cls, root: Path | str,
-               checkpointed_ids: Iterable[str]) -> "AlertEngine":
-        """An engine whose dedup set unions the checkpoint and the file.
+    def resume(cls, root: Path | str) -> "AlertEngine":
+        """An engine whose dedup set is every id in the alert file.
 
-        The file scan (crash-tolerant: a torn final alert line is
-        dropped -- its id was never checkpointed, so the re-tailed
-        record re-emits it whole) covers the kill-between-write-and-ack
-        window; the checkpointed ids cover an alert file lost entirely.
+        The scan is crash-tolerant: a torn final alert line is dropped,
+        and the re-tailed record re-emits that alert whole.
         """
-        engine = cls(root, emitted=checkpointed_ids)
+        engine = cls(root)
         lines, truncated = read_jsonl_tolerant(engine.path)
         for entry in lines:
             if "id" in entry:

@@ -11,7 +11,6 @@ Event vocabulary::
 
     watch-start    window_days, error_policy, system, seed, resumed,
                    missing=[...]      # sources frozen absent at startup
-    alerts         ids=[...]          # durably acknowledged alert ids
     window-close   window, start_day, end_day, watermark,
                    offsets={rel: {offset, prefix[, final]}},
                    health={...},                      # boundary health
@@ -29,11 +28,16 @@ captures the *boundary-consistent* pair of per-file restart offsets and
 ingestion-health baseline (see
 :meth:`~repro.stream.tailer.LogTailer.boundary_health`) plus the
 window's full close-time report, so a resume never recomputes a closed
-window and re-reads exactly the open window's bytes.  Alert ids are
-checkpointed *after* the alert lines are flushed to ``alerts.jsonl``;
-on resume the engine's dedup set is the union of checkpointed ids and
-a tolerant scan of the alert file itself, so a kill between the two
-writes can duplicate nothing and lose nothing.
+window and re-reads exactly the open window's bytes.  ``health`` is
+:func:`repro.core.serialize.to_jsonable` of the boundary health, read
+back by :func:`health_from_jsonable`.
+
+Emitted alerts are not checkpointed: each alert line is flushed to
+``alerts.jsonl`` as it is emitted, and a resume dedups against a
+tolerant scan of that file (:meth:`repro.stream.alerts.AlertEngine
+.resume`).  Checkpoints written when an ``alerts`` event recorded the
+ids still load; the replay ignores those events, as it does any event
+it does not know.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ __all__ = [
     "WatchCheckpoint",
     "WatchState",
     "CheckpointError",
-    "health_to_jsonable",
     "health_from_jsonable",
 ]
 
@@ -63,17 +66,9 @@ class CheckpointError(RuntimeError):
     written with a different window size than the one requested)."""
 
 
-def health_to_jsonable(health: IngestionHealth) -> dict:
-    """An :class:`IngestionHealth` as checkpoint-storable plain data."""
-    return {
-        "sources": {source.value: bucket.as_dict()
-                    for source, bucket in health.sources.items()},
-        "notes": list(health.notes),
-    }
-
-
 def health_from_jsonable(data: dict) -> IngestionHealth:
-    """Rebuild an :class:`IngestionHealth` from checkpoint data."""
+    """Rebuild an :class:`IngestionHealth` from its
+    :func:`~repro.core.serialize.to_jsonable` form (checkpoint data)."""
     health = IngestionHealth()
     for key, counts in data.get("sources", {}).items():
         health.sources[LogSource(key)] = SourceHealth.from_dict(counts)
@@ -85,9 +80,8 @@ def health_from_jsonable(data: dict) -> IngestionHealth:
 class WatchState:
     """Everything a resumed daemon restores from one checkpoint replay."""
 
-    __slots__ = ("started", "config", "windows", "emitted_ids",
-                 "offsets", "watermark", "health", "truncated_tail",
-                 "finalized")
+    __slots__ = ("started", "config", "windows", "offsets", "watermark",
+                 "health", "truncated_tail", "finalized")
 
     def __init__(self) -> None:
         self.started = False
@@ -95,8 +89,6 @@ class WatchState:
         self.config: dict[str, Any] = {}
         #: window index -> its window-close event (last write wins)
         self.windows: dict[int, dict] = {}
-        #: every durably acknowledged alert id
-        self.emitted_ids: set[str] = set()
         #: per-file restart offsets of the *latest* closed window (its
         #: event's entries, plus the ``final`` ones of earlier events)
         self.offsets: dict[str, dict] = {}
@@ -162,8 +154,6 @@ class WatchCheckpoint:
                 state.started = True
                 state.config = {k: v for k, v in record.items()
                                 if k != "event"}
-            elif kind == "alerts":
-                state.emitted_ids.update(record.get("ids", ()))
             elif kind == "window-close":
                 state.windows[int(record["window"])] = record
                 offsets = {rel: entry for rel, entry in state.offsets.items()

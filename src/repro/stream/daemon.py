@@ -43,7 +43,8 @@ How the batch equivalences are kept:
 
 Crash safety is delegated to :mod:`repro.stream.checkpoint` (window
 closes carry boundary-consistent offsets + health) and
-:mod:`repro.stream.alerts` (deterministic ids, ack-after-write): a
+:mod:`repro.stream.alerts` (deterministic ids; the flushed alert file is
+the record of what was emitted): a
 SIGKILL at any poll, resumed with ``--resume``, re-emits no duplicate
 alert, loses no alert, and finalizes to the same bytes.
 
@@ -60,7 +61,7 @@ import signal
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.failure_detection import FailureDetector
 from repro.core.index import RecordIndex, StreamIndex
@@ -75,11 +76,7 @@ from repro.core.artifacts import write_canonical_artifact
 from repro.runtime.faults import inject
 from repro.simul.clock import DAY
 from repro.stream.alerts import AlertEngine
-from repro.stream.checkpoint import (
-    CheckpointError,
-    WatchCheckpoint,
-    health_to_jsonable,
-)
+from repro.stream.checkpoint import WatchCheckpoint
 from repro.stream.tailer import LogTailer
 
 __all__ = ["WatchConfig", "WatchDaemon", "WatchReport", "REPORT_NAME",
@@ -197,7 +194,7 @@ class WatchDaemon:
         else:
             self.health = (state.health if state.health is not None
                            else IngestionHealth())
-            self.engine = AlertEngine.resume(config.out, state.emitted_ids)
+            self.engine = AlertEngine.resume(config.out)
             self.windows = state.closed_windows()
             self.next_window = state.next_window
             self.watermark = state.watermark
@@ -313,13 +310,9 @@ class WatchDaemon:
         return appended
 
     def _emit(self, alerts) -> None:
-        fresh = self.engine.emit(alerts)
-        if fresh:
-            self.alerts_emitted += len(fresh)
-            # ack-after-write: the ids are durable only once the alert
-            # lines themselves are flushed (emit() just did that)
-            self.checkpoint.append(
-                "alerts", ids=[alert.alert_id for alert in fresh])
+        # the flushed alert lines are the durable record of emission
+        # (AlertEngine.resume scans them); nothing is checkpointed
+        self.alerts_emitted += len(self.engine.emit(alerts))
 
     # ------------------------------------------------------------------
     # window closing
@@ -367,7 +360,7 @@ class WatchDaemon:
         event = self.checkpoint.append(
             "window-close", window=window, start_day=start_day,
             end_day=end_day, watermark=self.watermark, offsets=offsets,
-            health=health_to_jsonable(health_snapshot), report=report_dict)
+            health=to_jsonable(health_snapshot), report=report_dict)
         self.windows.append(event)
         self.next_window = window + 1
         evicted = self.index.evict_before(t1)
@@ -492,23 +485,17 @@ def streamed_batch_equivalent(
     store: LogStore,
     window_days: int,
     error_policy: ErrorPolicy | str = ErrorPolicy.SKIP,
-    only: Optional[Sequence[str]] = None,
-    cache=None,
 ) -> list[dict]:
     """The batch-side artifact the streamed one must byte-match.
 
     Runs the ordinary batch ``run_windowed`` over the (finished) store
     and shapes it exactly like :attr:`WatchReport.windows` -- the two
     sides of every parity assertion in the streaming tests and the
-    chaos gate.  ``cache`` optionally attaches a parse cache to the
-    batch side; parity holds either way by the cache's byte-identity
-    contract.
+    chaos gate.
     """
-    diag = HolisticDiagnosis.from_store(store, error_policy=error_policy,
-                                        cache=cache)
+    diag = HolisticDiagnosis.from_store(store, error_policy=error_policy)
     return [
         {"start_day": win.start_day, "end_day": win.end_day,
          "report": to_jsonable(win.report)}
-        for win in diag.run_windowed(window_days, only=list(only) if only
-                                     else None)
+        for win in diag.run_windowed(window_days)
     ]

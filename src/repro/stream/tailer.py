@@ -233,8 +233,6 @@ class LogTailer:
                 prefix=bytes.fromhex(entry.get("prefix", "")),
                 catalog=self.catalog,
             )
-            # seeded files were already counted by the run that
-            # checkpointed them; don't count them again
             self._tracked[source][str(path)] = state
 
     def _iter_states(self, source: LogSource):
@@ -366,7 +364,6 @@ class LogTailer:
         """
         tracked = self._tracked[source]
         orphans = self._orphans[source]
-        bucket = self.health.source(source)
         matched: dict[str, TailedFile] = {}
         unmatched: list[tuple[Path, os.stat_result]] = []
         pool: dict[str, TailedFile] = dict(tracked)
@@ -462,7 +459,6 @@ class LogTailer:
                 matched[key] = TailedFile(path, source, self.clock,
                                           ino=st.st_ino,
                                           catalog=self.catalog)
-                bucket.files += 1
 
         # leftover states: nothing on disk claimed them this poll
         for state in pool_states:
@@ -654,6 +650,10 @@ class LogTailer:
                 self._live[source] = None
             if increment:
                 lists.append(increment)
+        # the files the listing holds, as a batch read counts them: a
+        # state per tracked or finalized file, never per adoption
+        self.health.source(source).files = (
+            len(self._tracked[source]) + len(self._final[source]))
         return lists
 
     # ------------------------------------------------------------------

@@ -404,13 +404,13 @@ class TestDeltaOnlyIngest:
         import repro.logs.store as store_mod
 
         parsed = []
-        real = store_mod._parse_log_text
+        real = store_mod._traced_parse
 
-        def spy(text, parser, policy, path, retried=0):
+        def spy(text, parser, path, *args, **kwargs):
             parsed.append(path)
-            return real(text, parser, policy, path, retried)
+            return real(text, parser, path, *args, **kwargs)
 
-        monkeypatch.setattr(store_mod, "_parse_log_text", spy)
+        monkeypatch.setattr(store_mod, "_traced_parse", spy)
         return parsed
 
     def test_cached_store_matches_uncached(self, diagnosed_scenario,

@@ -211,13 +211,11 @@ class TestReportCache:
         assert cache.get("a") is not None
         assert cache.evicted == 1
 
-    def test_invalidate_logdir_and_clear(self):
+    def test_clear(self):
         cache = ReportCache(max_entries=8)
         cache.put("k1", CachedResponse(b"1", "/d", "f1"))
         cache.put("k2", CachedResponse(b"2", "/e", "f1"))
-        assert cache.invalidate_logdir("/d") == 1
-        assert cache.get("k1") is None
-        assert cache.clear() == 1
+        assert cache.clear() == 2
         assert len(cache) == 0
 
     def test_capacity_must_be_positive(self):

@@ -52,23 +52,20 @@ class TestEmit:
         assert entry["id"] == alerts[0].alert_id
         assert entry["kind"] == "precursor"
 
-    def test_emitted_count_tracks_identities(self, tmp_path):
-        engine = AlertEngine(tmp_path)
-        engine.emit(AlertEngine.scan_records(
-            [precursor(), precursor(node="c0-0c0s0n2")]))
-        assert engine.emitted_count == 2
-
 
 class TestResume:
-    def test_resume_unions_file_and_checkpoint(self, tmp_path):
+    def test_resume_dedups_from_the_file_alone(self, tmp_path):
         first = AlertEngine(tmp_path)
         in_file = AlertEngine.scan_records([precursor()])
         first.emit(in_file)
-        # an id the checkpoint acked but whose file line was lost
-        ghost = Alert(kind="precursor", time=1.0, node="nX", event="nhf")
-        engine = AlertEngine.resume(tmp_path, [ghost.alert_id])
+        engine = AlertEngine.resume(tmp_path)
         assert engine.emit(in_file) == []
-        assert engine.emit([ghost]) == []
+        # an alert whose line never reached the file is emitted
+        fresh = Alert(kind="precursor", time=1.0, node="nX", event="nhf")
+        assert engine.emit([fresh]) == [fresh]
+        assert [json.loads(line)["id"] for line in
+                engine.path.read_text(encoding="utf-8").splitlines()] == [
+            in_file[0].alert_id, fresh.alert_id]
 
     def test_torn_tail_is_repaired_then_reemitted_whole(self, tmp_path):
         uninterrupted = AlertEngine(tmp_path / "a")
@@ -81,8 +78,8 @@ class TestResume:
         crashed.emit(alerts[:1])
         with crashed.path.open("a", encoding="utf-8") as handle:
             handle.write('{"id": "' + alerts[1].alert_id + '", "ki')
-        # the torn alert was never checkpointed; resume drops the torn
-        # line and the replayed record re-emits it whole
-        engine = AlertEngine.resume(tmp_path / "b", [alerts[0].alert_id])
+        # resume drops the torn line and the replayed record re-emits
+        # the alert whole
+        engine = AlertEngine.resume(tmp_path / "b")
         assert len(engine.emit(alerts)) == 1
         assert engine.path.read_bytes() == expected

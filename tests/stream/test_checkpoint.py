@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.serialize import to_jsonable
 from repro.logs.health import IngestionHealth
 from repro.logs.record import LogSource
 from repro.runtime.journal import JournalError
@@ -11,7 +12,6 @@ from repro.stream.checkpoint import (
     CheckpointError,
     WatchCheckpoint,
     health_from_jsonable,
-    health_to_jsonable,
 )
 
 
@@ -23,18 +23,16 @@ def write_run(cp: WatchCheckpoint) -> None:
     """A plausible two-window run worth of events."""
     cp.append("watch-start", window_days=1, error_policy="skip",
               system="TT", seed=1, resumed=False, missing=["erd"])
-    cp.append("alerts", ids=["aaaa", "bbbb"])
     cp.append("window-close", window=0, start_day=0, end_day=1,
               watermark=90000.0, offsets={"p0/console.log": {
                   "offset": 120, "prefix": "00ff"}},
               health=None, report={"windows": 1})
-    cp.append("alerts", ids=["cccc"])
     health = IngestionHealth()
     health.source(LogSource.CONSOLE).read = 7
     cp.append("window-close", window=1, start_day=1, end_day=2,
               watermark=180000.0, offsets={"p0/console.log": {
                   "offset": 240, "prefix": "00ff"}},
-              health=health_to_jsonable(health), report={"windows": 2})
+              health=to_jsonable(health), report={"windows": 2})
 
 
 class TestLoad:
@@ -45,7 +43,6 @@ class TestLoad:
         assert state.started
         assert state.config["window_days"] == 1
         assert state.config["missing"] == ["erd"]
-        assert state.emitted_ids == {"aaaa", "bbbb", "cccc"}
         assert state.next_window == 2
         assert [w["window"] for w in state.closed_windows()] == [0, 1]
         # latest window-close wins for offsets / watermark / health
@@ -71,6 +68,23 @@ class TestLoad:
         assert cp.load().offsets == {
             "p0/console.log": {"offset": 30, "prefix": "00"},
             "p0/console-1.log.gz": seg}
+
+    def test_legacy_alerts_events_are_ignored(self, tmp_path):
+        """Checkpoints once recorded emitted alert ids; they still load."""
+        legacy = make_checkpoint(tmp_path / "legacy")
+        legacy.append("watch-start", window_days=1, error_policy="skip",
+                      system="TT", seed=1, resumed=False, missing=["erd"])
+        legacy.append("alerts", ids=["aaaa", "bbbb"])
+        current = make_checkpoint(tmp_path / "current")
+        write_run(current)
+        for line in current.path.read_text(encoding="utf-8").splitlines(
+                True)[1:]:
+            with legacy.path.open("a", encoding="utf-8") as handle:
+                handle.write(line)
+            legacy.append("alerts", ids=["cccc"])
+        got, want = legacy.load(), current.load()
+        for name in got.__slots__:
+            assert getattr(got, name) == getattr(want, name), name
 
     def test_fresh_state_before_any_window(self, tmp_path):
         cp = make_checkpoint(tmp_path)
@@ -144,7 +158,7 @@ class TestHealthJsonable:
         bucket.read = 11
         bucket.skipped = 2
         health.note("something odd")
-        rebuilt = health_from_jsonable(health_to_jsonable(health))
+        rebuilt = health_from_jsonable(to_jsonable(health))
         for source in LogSource:
             assert (rebuilt.source(source).as_dict()
                     == health.source(source).as_dict())
