@@ -12,6 +12,11 @@
 #      scheduler runs them all; then the span-context cases beside it
 #      (tests/obs/test_recorder.py::TestSpanContext: a fresh thread
 #      starts as a root, interleaved asyncio tasks nest independently)
+#      and the torn-tail resumes: each journal (campaign, fleet, watch
+#      checkpoint) cuts a crash-torn final line at replay, so a second
+#      resume replays cleanly (tests/runtime/test_journal.py::
+#      TestTornTailResume, and a campaign resumed twice,
+#      tests/runtime/test_supervisor.py::TestResume)
 #   3. streaming smoke: a real `repro watch` subprocess (the CLI drives
 #      api.watch) tails a live directory, alerts on a fed increment, and
 #      finalizes cleanly on SIGTERM (tests/stream/test_cli_smoke.py,
@@ -20,6 +25,11 @@
 #      tests/stream/test_tailer.py::TestPollCost) and the file-selection
 #      definition it rests on (LogStore.source_files against the former
 #      two-glob definition; tests/logs/test_store.py::TestSourceFiles);
+#      then the torn-tail resumes of a watch: a checkpoint and alert file
+#      torn at a kill, resumed twice, still finalize to the batch digest
+#      (tests/stream/test_daemon.py::TestTornCheckpoint), and a torn
+#      alert line is cut and re-emitted whole
+#      (tests/stream/test_alerts.py::TestResume);
 #      the streamed-vs-batch replay-parity and SIGKILL-resume gates run
 #      in the chaos tier below (tests/chaos/test_stream_chaos.py)
 #   4. parity gate: the registry-driver report must stay byte-identical
@@ -78,11 +88,15 @@ echo "== supervision smoke (pytest -m supervision) =="
 python -m pytest tests/runtime tests/fleet/test_supervisor.py \
     tests/obs/test_fork_boundary.py -m supervision -q
 python -m pytest tests/obs/test_recorder.py::TestSpanContext -q
+python -m pytest tests/runtime/test_journal.py::TestTornTailResume \
+    tests/runtime/test_supervisor.py::TestResume -q
 
 echo "== streaming smoke (pytest -m streaming) =="
 python -m pytest tests/stream -m streaming -q
 python -m pytest tests/stream/test_tailer.py::TestPollCost \
     tests/logs/test_store.py::TestSourceFiles -q
+python -m pytest tests/stream/test_daemon.py::TestTornCheckpoint \
+    tests/stream/test_alerts.py::TestResume -q
 
 echo "== parity + windowed-consistency gate (pytest -m parity) =="
 # the byte contract: the encoder oracle and the committed goldens

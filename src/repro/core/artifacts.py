@@ -21,7 +21,6 @@ again:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from pathlib import Path
 from typing import Any
@@ -32,7 +31,6 @@ __all__ = [
     "atomic_write_text",
     "atomic_write_bytes",
     "write_canonical_artifact",
-    "append_jsonl_line",
     "write_checksummed_blob",
     "read_checksummed_blob",
     "BlobIntegrityError",
@@ -164,18 +162,3 @@ def read_checksummed_blob(path: Path | str, magic: bytes) -> bytes:
             f"blob {path} failed its checksum "
             f"(recorded {recorded[:12]}..., actual {actual[:12]}...)")
     return payload
-
-
-def append_jsonl_line(path: Path, record: dict) -> None:
-    """Append one JSON line to ``path``, flushed before returning.
-
-    The shared append discipline of the campaign journal and the watch
-    checkpoint: sorted keys, one line per event, flushed per call so a
-    process kill loses nothing already appended (only an OS crash can
-    tear the final line, which
-    :func:`repro.runtime.journal.read_jsonl_tolerant` forgives).
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-        handle.flush()

@@ -29,15 +29,15 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.external import ExternalIndex, _blade_of
+from repro.core.external import (
+    EXTERNAL_PRECURSOR_EVENTS,
+    NODE_SCOPED_PRECURSORS,
+    ExternalIndex,
+    _blade_of,
+)
 from repro.core.failure_detection import DetectedFailure
 from repro.core.index import failure_times_by_node
-from repro.core.leadtime import (
-    EXTERNAL_PRECURSOR_EVENTS,
-    INTERNAL_INDICATIVE,
-    NODE_SCOPED_PRECURSORS,
-    indicative_times_by_node,
-)
+from repro.core.leadtime import INTERNAL_INDICATIVE, indicative_times_by_node
 from repro.logs.parsing import ParsedRecord
 from repro.simul.clock import HOUR
 

@@ -24,12 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.external import (
-    EXTERNAL_PRECURSOR_EVENTS,
-    NODE_SCOPED_PRECURSORS,
-    ExternalIndex,
-    _blade_of,
-)
+from repro.core.external import ExternalIndex, _blade_of
 from repro.core.failure_detection import DetectedFailure
 from repro.logs.parsing import ParsedRecord
 from repro.simul.clock import HOUR, WEEK
@@ -43,8 +38,6 @@ __all__ = [
     "compute_lead_times",
     "summarize_lead_times",
     "weekly_enhanceable_fractions",
-    "EXTERNAL_PRECURSOR_EVENTS",
-    "NODE_SCOPED_PRECURSORS",
 ]
 
 #: internal events that count as fault-indicative precursors
@@ -57,10 +50,6 @@ INTERNAL_INDICATIVE = frozenset({
     "gpu_xid", "app_exit_abnormal", "nhc_test_fail", "nhc_suspect",
     "l0_sysd_mce", "buffer_overflow", "bios_unknown",
 })
-
-# EXTERNAL_PRECURSOR_EVENTS / NODE_SCOPED_PRECURSORS now live in
-# repro.core.external (next to the index tables keyed on them) and are
-# re-exported above for compatibility.
 
 #: symptoms the paper calls application-triggered (no enhancement expected)
 APP_TRIGGERED_SYMPTOMS = frozenset({

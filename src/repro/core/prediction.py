@@ -32,9 +32,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.external import _blade_of
+from repro.core.external import EXTERNAL_PRECURSOR_EVENTS, _blade_of
 from repro.core.failure_detection import DetectedFailure
-from repro.core.leadtime import EXTERNAL_PRECURSOR_EVENTS, INTERNAL_INDICATIVE
+from repro.core.leadtime import INTERNAL_INDICATIVE
 from repro.logs.parsing import ParsedRecord
 from repro.simul.clock import HOUR, MINUTE
 

@@ -21,10 +21,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.external import ExternalIndex, _blade_of
+from repro.core.external import (
+    EXTERNAL_PRECURSOR_EVENTS,
+    ExternalIndex,
+    _blade_of,
+)
 from repro.core.failure_detection import DetectedFailure
 from repro.core.jobs import JobView
-from repro.core.leadtime import EXTERNAL_PRECURSOR_EVENTS
 from repro.faults.model import FaultFamily
 from repro.logs.stacktraces import CallTrace
 from repro.simul.clock import HOUR

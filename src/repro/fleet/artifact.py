@@ -52,7 +52,6 @@ __all__ = [
     "ShardArtifact",
     "write_shard_artifact",
     "read_shard_artifact",
-    "validate_shard_artifact",
 ]
 
 #: container magic separating the npz payload from the digest footer
@@ -127,9 +126,3 @@ def read_shard_artifact(path: Path | str) -> ShardArtifact:
         raise ShardArtifactError(
             f"undecodable shard artifact {path}: {exc}") from None
     return ShardArtifact(arrays=arrays, report=report, digest=actual)
-
-
-def validate_shard_artifact(path: Path | str) -> ShardArtifact:
-    """Alias of :func:`read_shard_artifact` for intent at call sites
-    that only care about the verdict (resume scans, CI gates)."""
-    return read_shard_artifact(path)

@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import contextlib
 import os
-import time
 from pathlib import Path
 from typing import Any, Optional
 
-from repro.core.artifacts import append_jsonl_line, write_canonical_artifact
+from repro.core.artifacts import write_canonical_artifact
 from repro.core.gcpause import paused_gc
 from repro.fleet.artifact import ShardArtifact, ShardArtifactError, read_shard_artifact
 from repro.fleet.rollup import FleetReport, merge_shards, shard_summary
@@ -47,7 +46,7 @@ from repro.fleet.scenario import FLEET_SYSTEM, FleetSpec, materialize_member
 from repro.logs.store import LogStore
 from repro.obs import OBS
 from repro.runtime import faults
-from repro.runtime.journal import JournalError, read_jsonl_tolerant
+from repro.runtime.journal import Journal, JournalError
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.tasks import (
     PublishError,
@@ -59,8 +58,6 @@ from repro.runtime.tasks import (
 
 __all__ = ["FleetJournal", "FleetSupervisor", "fleet_config"]
 
-#: journal file name under the fleet root
-JOURNAL_NAME = "journal.jsonl"
 #: shard artifact directory under the fleet root
 SHARDS_DIR = "shards"
 #: merged report name under the fleet root
@@ -86,12 +83,12 @@ def fleet_config(max_workers: Optional[int] = None) -> SupervisorConfig:
     )
 
 
-class FleetJournal:
+class FleetJournal(Journal):
     """One fleet directory: event log, shard artifacts, merged report.
 
-    Same crash-safety contract as the campaign journal (append-then-
-    flush JSONL, tolerant tail replay, atomic artifacts) with the
-    shard vocabulary::
+    The campaign journal's crash-safety contract (:class:`~repro.runtime
+    .journal.Journal`: append-then-flush JSONL, torn-tail cut at
+    replay, atomic artifacts) with the shard vocabulary::
 
         fleet-start / fleet-resume   systems, days, seed
         start / complete / attempt-failed / failed / skip   per shard
@@ -100,33 +97,12 @@ class FleetJournal:
         fleet-end                    covered, degraded
     """
 
+    owned = (f"{SHARDS_DIR}/*.npz", REPORT_NAME)
+
     def __init__(self, root: Path | str) -> None:
-        self.root = Path(root)
-        self.path = self.root / JOURNAL_NAME
+        super().__init__(root)
         self.shards = self.root / SHARDS_DIR
         self.report_path = self.root / REPORT_NAME
-
-    # ------------------------------------------------------------------
-    def append(self, event: str, **fields: Any) -> dict:
-        """Append one event line (flushed before returning)."""
-        record = {"event": event, **fields, "wall": time.time()}
-        append_jsonl_line(self.path, record)
-        return record
-
-    def events(self) -> list[dict]:
-        """Replay the log, tolerating a crash-torn final line."""
-        parsed, _ = read_jsonl_tolerant(self.path)
-        return parsed
-
-    def reset(self) -> None:
-        """Fresh fleet run: drop the log, shard artifacts and report."""
-        if self.path.is_file():
-            self.path.unlink()
-        if self.report_path.is_file():
-            self.report_path.unlink()
-        if self.shards.is_dir():
-            for artifact in self.shards.glob("*.npz"):
-                artifact.unlink()
 
     # ------------------------------------------------------------------
     def start(self, config: dict, resumed: bool = False) -> None:

@@ -180,8 +180,8 @@ def render_summary(trace: Optional[dict] = None,
         truncated = counters.get("journal.truncated_tail", 0)
         if truncated:
             lines.append(
-                f"  ! {truncated} crash-truncated journal tail(s) "
-                "recovered -- a run was killed mid-append and resumed")
+                f"  ! {truncated} crash-torn journal tail(s) cut "
+                "-- a run was killed mid-append and resumed")
         hits = counters.get("serve.cache.hit", 0)
         misses = counters.get("serve.cache.miss", 0)
         if hits or misses:

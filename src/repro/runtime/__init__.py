@@ -8,8 +8,10 @@ crashed or hung workers, SIGKILLed processes, interrupted runs.
 * :mod:`repro.runtime.supervisor` -- isolated worker processes with
   heartbeats, per-experiment deadlines, bounded retry and a
   per-scenario circuit breaker;
-* :mod:`repro.runtime.journal` -- append-only JSONL campaign journal
-  plus atomic, byte-deterministic artifacts enabling ``--resume``;
+* :mod:`repro.runtime.journal` -- the one append-only JSONL journal
+  class (campaign, fleet, watch checkpoint), whose replay cuts a
+  crash-torn tail, plus atomic, byte-deterministic campaign artifacts
+  enabling ``--resume``;
 * :mod:`repro.runtime.retry` -- backoff policy and circuit breaker;
 * :mod:`repro.runtime.faults` -- process-level fault injection
   (SIGKILL, hang, crash, slow) for the chaos harness.

@@ -1,24 +1,35 @@
-"""Crash-safe campaign journal: append-only JSONL + atomic artifacts.
+"""Crash-safe append-only journals: one JSONL event log per directory.
 
-The journal is the supervisor's source of truth for what a campaign has
-done.  Two kinds of state live under one campaign directory::
+:class:`Journal` is the one append-and-replay mechanism behind every
+resumable run in the repo.  Its subclasses add only their vocabulary:
 
-    <root>/
-      journal.jsonl            # append-only event log (flushed per event)
-      artifacts/<exp_id>.json  # canonical per-experiment results
+* :class:`CampaignJournal` -- the campaign supervisor's event log plus
+  its per-experiment artifacts::
+
+      <root>/
+        journal.jsonl            # append-only event log (flushed per event)
+        artifacts/<exp_id>.json  # canonical per-experiment results
+
+* :class:`~repro.fleet.supervisor.FleetJournal` -- the fleet's shard
+  artifacts and merged report;
+* :class:`~repro.stream.checkpoint.WatchCheckpoint` -- the watch
+  daemon's checkpoint.
 
 Crash-safety contract:
 
-* events are appended and flushed one line at a time, so the journal
-  never contains a *reordered* history and a process kill (the threat
-  model: SIGKILL, crash, OOM) loses nothing already appended.  Only an
-  OS-level crash can drop a tail of events -- which merely re-runs
-  those experiments on resume -- or truncate the final line, and
-  :meth:`CampaignJournal.events` tolerates (and reports) exactly that:
-  a trailing partial line is dropped, never misparsed.  Events skip the
-  per-line ``fsync`` deliberately; it buys nothing against process
-  death and costs milliseconds per event (see
+* events are appended and flushed one line at a time, each stamped
+  with ``wall`` (wall-clock seconds), so the journal never contains a
+  *reordered* history and a process kill (the threat model: SIGKILL,
+  crash, OOM) loses nothing already appended.  A kill mid-append can
+  tear the final line; :func:`read_jsonl_tolerant` forgives exactly
+  that and cuts the fragment off the file, so the next append starts
+  on a line of its own and a run survives any number of resumes.
+  Events skip the per-line ``fsync`` deliberately; it buys nothing
+  against process death and costs milliseconds per event (see
   ``benchmarks/bench_supervisor.py``);
+* the cut rests on one precondition: a log has one writer, and only
+  that writer replays it, at resume (or between its own appends).  A
+  reader racing a live writer could cut a line still being written;
 * artifacts are written to a temp file and published with
   ``os.replace``, so an artifact either exists completely or not at
   all, and each artifact's bytes are canonical
@@ -34,15 +45,16 @@ Crash-safety contract:
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
-from repro.core.artifacts import append_jsonl_line, atomic_write_text
+from repro.core.artifacts import atomic_write_text
 from repro.experiments.result import ExperimentResult
 from repro.obs import OBS
 
-__all__ = ["CampaignJournal", "JournalError", "atomic_write_text",
+__all__ = ["CampaignJournal", "Journal", "JournalError",
            "read_jsonl_tolerant"]
 
 #: journal file name under the campaign root
@@ -57,83 +69,103 @@ class JournalError(RuntimeError):
 
 
 def read_jsonl_tolerant(path: Path) -> tuple[list[dict], bool]:
-    """Replay an append-only JSONL file, tolerating a crash-torn tail.
+    """Replay an append-only JSONL file, cutting a crash-torn tail.
 
     Returns ``(events, truncated_tail)``.  Only a *final* damaged line
-    is forgiven (that is the one a SIGKILL can produce); damage earlier
-    in the file means the journal was edited or corrupted and raises
+    is forgiven (that is the one a SIGKILL can produce), and the file
+    is truncated to the end of its last intact line, so the writer's
+    next append starts on a line of its own.  Damage earlier in the
+    file means the journal was edited or corrupted and raises
     :class:`JournalError`.  Every forgiven tail increments the
     ``journal.truncated_tail`` observability counter so silent
     crash-recoveries become visible in ``repro obs summary``.
 
-    Shared by :class:`CampaignJournal` and the streaming watch
-    checkpoint (:mod:`repro.stream.checkpoint`), which make the same
-    append-then-flush crash-safety promise.
+    The one rule for torn tails: every journal and ``alerts.jsonl``
+    (:meth:`repro.stream.alerts.AlertEngine.resume`) replay through it.
+    Precondition: the file has one writer, and only that writer replays
+    it, at resume -- see the module docstring.
     """
-    if not path.is_file():
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
         return [], False
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = data.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
     parsed: list[dict] = []
-    truncated = False
+    offset = 0
     for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            parsed.append(json.loads(line))
-        except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                truncated = True
-                break
-            raise JournalError(
-                f"corrupt journal line {i + 1} in {path}: {line[:80]!r}"
-            ) from None
-    if truncated and OBS.enabled:
-        OBS.metrics.counter("journal.truncated_tail").inc()
-    return parsed, truncated
+        if line.strip():
+            try:
+                parsed.append(json.loads(line))
+            except ValueError:
+                if i < len(lines) - 1:
+                    raise JournalError(
+                        f"corrupt journal line {i + 1} in {path}: "
+                        f"{line[:80].decode('utf-8', 'replace')!r}"
+                    ) from None
+                os.truncate(path, offset)
+                if OBS.enabled:
+                    OBS.metrics.counter("journal.truncated_tail").inc()
+                return parsed, True
+        offset += len(line) + 1
+    return parsed, False
 
 
-class CampaignJournal:
-    """One campaign directory: the event log plus its artifacts."""
+class Journal:
+    """One append-only JSONL event log under a directory."""
+
+    #: log file name under the root
+    name = JOURNAL_NAME
+    #: globs (relative to the root) of the files :meth:`reset` drops
+    #: along with the log
+    owned: tuple[str, ...] = ()
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
-        self.path = self.root / JOURNAL_NAME
-        self.artifacts = self.root / ARTIFACTS_DIR
+        self.path = self.root / self.name
         self._truncated_tail = False
 
-    # ------------------------------------------------------------------
-    # event log
-    # ------------------------------------------------------------------
     def append(self, event: str, **fields: Any) -> dict:
-        """Append one event line (flushed before returning)."""
+        """Append one event line, stamped with ``wall`` (flushed before
+        returning)."""
         record = {"event": event, **fields, "wall": time.time()}
-        append_jsonl_line(self.path, record)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with self.path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.flush()
         return record
 
     def events(self) -> list[dict]:
-        """Replay the event log, tolerating a crash-truncated tail.
-
-        Only a *final* damaged line is forgiven (that is the one a
-        SIGKILL can produce); damage earlier in the file means the
-        journal was edited or corrupted and raises :class:`JournalError`.
-        A forgiven tail is also counted on the ``journal.truncated_tail``
-        observability counter (see :func:`read_jsonl_tolerant`).
-        """
+        """Replay the event log, cutting a crash-torn tail (see
+        :func:`read_jsonl_tolerant`)."""
         parsed, self._truncated_tail = read_jsonl_tolerant(self.path)
         return parsed
 
     @property
     def truncated_tail(self) -> bool:
-        """True when the last :meth:`events` call dropped a partial line."""
+        """True when the last :meth:`events` call cut a partial line."""
         return self._truncated_tail
 
+    def exists(self) -> bool:
+        return self.path.is_file()
+
     def reset(self) -> None:
-        """Start a fresh campaign: drop the event log and all artifacts."""
-        if self.path.is_file():
-            self.path.unlink()
-        if self.artifacts.is_dir():
-            for artifact in self.artifacts.glob("*.json"):
-                artifact.unlink()
+        """Start fresh: drop the event log and every owned file."""
+        self.path.unlink(missing_ok=True)
+        for pattern in self.owned:
+            for path in self.root.glob(pattern):
+                path.unlink()
+
+
+class CampaignJournal(Journal):
+    """One campaign directory: the event log plus its artifacts."""
+
+    owned = (f"{ARTIFACTS_DIR}/*.json",)
+
+    def __init__(self, root: Path | str) -> None:
+        super().__init__(root)
+        self.artifacts = self.root / ARTIFACTS_DIR
 
     # ------------------------------------------------------------------
     # campaign-level helpers

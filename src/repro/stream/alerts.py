@@ -15,9 +15,10 @@ Exactly-once across crashes rests on two properties:
   resume produces the *same* alert id;
 * **the alert file is the record** -- each alert line is flushed to
   ``alerts.jsonl`` as it is emitted, and on resume the dedup set is a
-  crash-tolerant scan of that file: an alert whose line reached the
-  file is never emitted again, and one killed before (or while) its
-  line was written is re-emitted whole from the re-tailed record.
+  scan of that file that cuts a crash-torn final line: an alert whose
+  line reached the file is never emitted again, and one killed before
+  (or while) its line was written is re-emitted whole from the
+  re-tailed record.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.core.external import NODE_SCOPED_PRECURSORS
 from repro.core.serialize import canonical_json
 from repro.logs.parsing import ParsedRecord
 from repro.obs import OBS
-from repro.core.artifacts import atomic_write_text
 from repro.runtime.journal import read_jsonl_tolerant
 from repro.simul.clock import DAY
 
@@ -158,19 +158,14 @@ class AlertEngine:
     def resume(cls, root: Path | str) -> "AlertEngine":
         """An engine whose dedup set is every id in the alert file.
 
-        The scan is crash-tolerant: a torn final alert line is dropped,
-        and the re-tailed record re-emits that alert whole.
+        The scan cuts a torn final alert line off the file (the one
+        torn-tail rule, :func:`~repro.runtime.journal
+        .read_jsonl_tolerant`), and the re-tailed record re-emits that
+        alert whole: the cut file plus the replayed emissions is
+        byte-identical to an uninterrupted run's.
         """
         engine = cls(root)
-        lines, truncated = read_jsonl_tolerant(engine.path)
-        for entry in lines:
-            if "id" in entry:
-                engine._emitted.add(entry["id"])
-        if truncated:
-            # physically drop the torn line so the re-emitted alert is
-            # not preceded by garbage -- the repaired file plus replayed
-            # emissions is byte-identical to an uninterrupted run
-            atomic_write_text(engine.path, "".join(
-                json.dumps(entry, sort_keys=True) + "\n"
-                for entry in lines))
+        lines, _ = read_jsonl_tolerant(engine.path)
+        engine._emitted.update(entry["id"] for entry in lines
+                               if "id" in entry)
         return engine

@@ -1,11 +1,13 @@
 """Crash-safe watch checkpoint: the daemon's append-only source of truth.
 
 One JSONL file (``checkpoint.jsonl`` under the watch output directory)
-records everything a killed daemon needs to pick up where it left off,
-with the same append-then-flush contract the campaign journal makes
-(:mod:`repro.runtime.journal`): a SIGKILL can tear at most the final
-line, and :func:`~repro.runtime.journal.read_jsonl_tolerant` forgives
-exactly that.
+records everything a killed daemon needs to pick up where it left off.
+:class:`WatchCheckpoint` is a :class:`~repro.runtime.journal.Journal`,
+the campaign and fleet journals' one append-and-replay class: each
+event is flushed as one line stamped with ``wall``, a SIGKILL can tear
+at most the final line, and the replay cuts exactly that fragment off
+the file, so the resumed daemon's first append starts a line of its
+own and the run survives any number of resumes.
 
 Event vocabulary::
 
@@ -16,6 +18,9 @@ Event vocabulary::
                    health={...},                      # boundary health
                    report={...}                       # close-time report
     finalize       digest, windows
+
+Every event also carries ``wall``; :attr:`WatchState.config` leaves it
+out.
 
 ``offsets`` holds the boundary offsets of the live and still-changing
 files.  An entry marked ``final`` is a finalized segment's last offset:
@@ -30,25 +35,25 @@ ingestion-health baseline (see
 window's full close-time report, so a resume never recomputes a closed
 window and re-reads exactly the open window's bytes.  ``health`` is
 :func:`repro.core.serialize.to_jsonable` of the boundary health, read
-back by :func:`health_from_jsonable`.
+back by :func:`health_from_jsonable`.  The checkpoint is the only record
+of the closed windows: the daemon keeps none in memory, and its
+finalize reads them back with :meth:`WatchCheckpoint.load`.
 
 Emitted alerts are not checkpointed: each alert line is flushed to
 ``alerts.jsonl`` as it is emitted, and a resume dedups against a
-tolerant scan of that file (:meth:`repro.stream.alerts.AlertEngine
-.resume`).  Checkpoints written when an ``alerts`` event recorded the
-ids still load; the replay ignores those events, as it does any event
-it does not know.
+scan of that file that cuts a torn tail by the same rule
+(:meth:`repro.stream.alerts.AlertEngine.resume`).  Checkpoints written
+when an ``alerts`` event recorded the ids still load; the replay
+ignores those events, as it does any event it does not know.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any, Optional
 
-from repro.core.artifacts import append_jsonl_line
 from repro.logs.health import IngestionHealth, SourceHealth
 from repro.logs.record import LogSource
-from repro.runtime.journal import read_jsonl_tolerant
+from repro.runtime.journal import Journal
 
 __all__ = [
     "WatchCheckpoint",
@@ -111,49 +116,29 @@ class WatchState:
         return [self.windows[k] for k in sorted(self.windows)]
 
 
-class WatchCheckpoint:
+class WatchCheckpoint(Journal):
     """The append-only checkpoint file of one watch output directory."""
 
-    def __init__(self, root: Path | str) -> None:
-        self.root = Path(root)
-        self.path = self.root / CHECKPOINT_NAME
-
-    # ------------------------------------------------------------------
-    def append(self, event: str, **fields: Any) -> dict:
-        """Append one event line (flushed before returning).
-
-        Shares the campaign journal's append discipline via
-        :func:`repro.core.artifacts.append_jsonl_line` -- the two
-        crash-safety contracts are one implementation.
-        """
-        record = {"event": event, **fields}
-        append_jsonl_line(self.path, record)
-        return record
-
-    def exists(self) -> bool:
-        return self.path.is_file()
-
-    def reset(self) -> None:
-        """Start fresh: drop any previous checkpoint."""
-        if self.path.is_file():
-            self.path.unlink()
+    name = CHECKPOINT_NAME
+    # in this class's own __dict__: perfbench/tracer.py wraps
+    # cls.__dict__["append"] as the stream.checkpoint layer
+    append = Journal.append
 
     # ------------------------------------------------------------------
     def load(self) -> WatchState:
         """Replay the checkpoint into a :class:`WatchState`.
 
-        Tolerates (and reports) a crash-torn final line; raises
+        Cuts (and reports) a crash-torn final line; raises
         :class:`~repro.runtime.journal.JournalError` for damage anywhere
         else, because that means the file was edited, not crashed.
         """
         state = WatchState()
-        events, state.truncated_tail = read_jsonl_tolerant(self.path)
-        for record in events:
+        for record in self.events():
             kind = record.get("event")
             if kind == "watch-start":
                 state.started = True
                 state.config = {k: v for k, v in record.items()
-                                if k != "event"}
+                                if k not in ("event", "wall")}
             elif kind == "window-close":
                 state.windows[int(record["window"])] = record
                 offsets = {rel: entry for rel, entry in state.offsets.items()
@@ -167,6 +152,7 @@ class WatchCheckpoint:
                                 if health is not None else None)
             elif kind == "finalize":
                 state.finalized = True
+        state.truncated_tail = self.truncated_tail
         return state
 
     def check_resumable(self, state: WatchState,

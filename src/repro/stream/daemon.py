@@ -39,7 +39,9 @@ How the batch equivalences are kept:
   clamped, and counted as a divergence;
 * bounded memory: everything older than the youngest closed window is
   evicted (:meth:`~repro.core.index.RecordIndex.evict_before`), so
-  resident records track the open window, not the stream's age.
+  resident records track the open window, not the stream's age; a
+  closed window's report lives only in the checkpoint, and finalize
+  reads the reports back from it.
 
 Crash safety is delegated to :mod:`repro.stream.checkpoint` (window
 closes carry boundary-consistent offsets + health) and
@@ -188,14 +190,12 @@ class WatchDaemon:
                 alerts_path.unlink()
             self.health = IngestionHealth()
             self.engine = AlertEngine(config.out)
-            self.windows: list[dict] = []
             self.next_window = 0
             self.watermark = float("-inf")
         else:
             self.health = (state.health if state.health is not None
                            else IngestionHealth())
             self.engine = AlertEngine.resume(config.out)
-            self.windows = state.closed_windows()
             self.next_window = state.next_window
             self.watermark = state.watermark
         # missing sources are frozen at the *original* startup, matching
@@ -357,11 +357,10 @@ class WatchDaemon:
         boundary = window + 1
         health_snapshot = self.tailer.boundary_health(boundary)
         offsets = self.tailer.boundary_snapshot(boundary)
-        event = self.checkpoint.append(
+        self.checkpoint.append(
             "window-close", window=window, start_day=start_day,
             end_day=end_day, watermark=self.watermark, offsets=offsets,
             health=to_jsonable(health_snapshot), report=report_dict)
-        self.windows.append(event)
         self.next_window = window + 1
         evicted = self.index.evict_before(t1)
         if OBS.enabled:
@@ -390,9 +389,9 @@ class WatchDaemon:
             start = self.next_window * days
             self._close_window(self.next_window, start,
                                min(start + days, total))
-        # re-base every window report on the final ingestion health --
-        # the health a batch run over the finished directory bakes into
-        # all its windows
+        # re-base every window report, read back from the checkpoint,
+        # on the final ingestion health -- the health a batch run over
+        # the finished directory bakes into all its windows
         missing_part = degradation_for(self.missing, None)[1]
         full_reasons = degradation_for(self.missing, self.health)[1]
         health_part = full_reasons[len(missing_part):]
@@ -400,7 +399,7 @@ class WatchDaemon:
         health_degraded = self.health.degraded
         base = len(missing_part)
         windows_out: list[dict] = []
-        for event in self.windows:
+        for event in self.checkpoint.load().closed_windows():
             patched = dict(event["report"])
             patched["degraded_reasons"] = (
                 missing_part + health_part
@@ -431,7 +430,7 @@ class WatchDaemon:
             records=self.records_appended,
             alerts_emitted=self.alerts_emitted,
             windows_closed=len(windows_out),
-            resumed=getattr(self, "resumed", False),
+            resumed=self.resumed,
             tail_stats=self.tailer.stats.as_dict(),
         )
         return self._finalized

@@ -13,7 +13,7 @@ class TestTruncatedTailHighlight:
     def test_flagged_when_tails_were_recovered(self):
         text = render_summary(metrics=metrics_snapshot(
             **{"journal.truncated_tail": 2, "stream.polls": 40}))
-        assert "! 2 crash-truncated journal tail(s) recovered" in text
+        assert "! 2 crash-torn journal tail(s) cut" in text
         # the highlight reads as an annotation, after the raw counters
         lines = text.splitlines()
         assert lines[-1].lstrip().startswith("!")
@@ -21,7 +21,7 @@ class TestTruncatedTailHighlight:
     def test_silent_when_no_tail_was_recovered(self):
         text = render_summary(metrics=metrics_snapshot(
             **{"stream.polls": 40}))
-        assert "crash-truncated" not in text
+        assert "crash-torn" not in text
 
     def test_counter_still_listed_plainly(self):
         text = render_summary(metrics=metrics_snapshot(

@@ -5,8 +5,11 @@ import os
 
 import pytest
 
+from repro.core.artifacts import atomic_write_text
 from repro.experiments.result import ExperimentResult
-from repro.runtime.journal import CampaignJournal, JournalError, atomic_write_text
+from repro.fleet import FleetJournal
+from repro.runtime.journal import CampaignJournal, JournalError
+from repro.stream.checkpoint import WatchCheckpoint
 
 
 def result(exp="figX", ok=True, **measured):
@@ -127,8 +130,10 @@ class TestTruncatedTailCounter:
         try:
             journal.events()
             assert OBS.metrics.counter("journal.truncated_tail").value == 1
-            journal.events()  # every tolerant replay counts the tail
-            assert OBS.metrics.counter("journal.truncated_tail").value == 2
+            # the first replay cut the tail off the file, so there is
+            # nothing left to forgive (or count) the second time
+            assert journal.events() == journal.events()
+            assert OBS.metrics.counter("journal.truncated_tail").value == 1
         finally:
             configure(ObsConfig(enabled=False))
             OBS.reset()
@@ -145,3 +150,60 @@ class TestTruncatedTailCounter:
         finally:
             configure(ObsConfig(enabled=False))
             OBS.reset()
+
+
+def replayed_windows(journal) -> list[int]:
+    """The ``window`` of each replayed event, read back the way the
+    journal's own resume reads it."""
+    if isinstance(journal, WatchCheckpoint):
+        return sorted(journal.load().windows)
+    return [event["window"] for event in journal.events()]
+
+
+@pytest.mark.parametrize("kind", [CampaignJournal, FleetJournal,
+                                  WatchCheckpoint])
+class TestTornTailResume:
+    """Every journal is one :class:`~repro.runtime.journal.Journal`, so
+    a run killed mid-append can be resumed, and then resumed again."""
+
+    def test_append_after_a_torn_tail_survives_the_next_replay(
+            self, tmp_path, kind):
+        journal = kind(tmp_path / "run")
+        journal.append("window-close", window=0)
+        with journal.path.open("a") as handle:
+            handle.write('{"event": "window-close", "wind')  # killed
+        assert replayed_windows(journal) == [0]  # first resume
+        journal.append("window-close", window=1)
+        assert replayed_windows(journal) == [0, 1]  # second resume
+        journal.append("window-close", window=2)
+        assert replayed_windows(journal) == [0, 1, 2]
+
+    def test_replay_cuts_the_torn_line_once(self, tmp_path, kind):
+        journal = kind(tmp_path / "run")
+        journal.append("window-close", window=0)
+        intact = journal.path.read_bytes()
+        with journal.path.open("a") as handle:
+            handle.write('{"event": "window-close", "wind')
+        journal.events()
+        assert journal.truncated_tail
+        assert journal.path.read_bytes() == intact
+        journal.events()
+        assert not journal.truncated_tail
+
+    def test_every_event_carries_wall(self, tmp_path, kind):
+        journal = kind(tmp_path / "run")
+        journal.append("window-close", window=0)
+        assert all("wall" in event for event in journal.events())
+
+    def test_reset_drops_the_log_and_owned_files(self, tmp_path, kind):
+        journal = kind(tmp_path / "run")
+        journal.append("window-close", window=0)
+        owned = [journal.root / pattern.replace("*", "x")
+                 for pattern in kind.owned]
+        for path in owned:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("{}")
+        assert journal.exists()
+        journal.reset()
+        assert not journal.exists() and journal.events() == []
+        assert not any(path.exists() for path in owned)

@@ -274,6 +274,26 @@ class TestResume:
                   if e["event"] == "campaign-start"]
         assert len(starts) == 1  # old history gone, not appended to
 
+    def test_torn_journal_survives_two_resumes(self, tmp_path):
+        """A kill mid-append tears the journal's last line; the first
+        resume cuts it, so the second resume still replays cleanly."""
+        config = fast_config(isolated=False)
+        specs = SPECS[:2]
+        first = CampaignSupervisor(tmp_path / "camp", seed=7, specs=specs,
+                                   config=config)
+        first.run()
+        with first.journal.path.open("a") as handle:
+            handle.write('{"event": "campaign-end", "comp')
+        for _ in range(2):
+            sup = CampaignSupervisor(tmp_path / "camp", seed=7,
+                                     specs=specs, config=config)
+            report = sup.run(resume=True)
+            assert all(o.from_journal for o in report.outcomes)
+        events = [e["event"] for e in sup.journal.events()]
+        assert not sup.journal.truncated_tail
+        assert events.count("campaign-resume") == 2
+        assert events[-1] == "campaign-end"
+
     def test_resume_of_complete_campaign_runs_nothing(self, tmp_path):
         config = fast_config(isolated=False)
         CampaignSupervisor(tmp_path / "camp", seed=7, specs=SPECS,

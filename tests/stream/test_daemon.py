@@ -268,6 +268,43 @@ class TestCheckpointOffsets:
         assert resumed.digest == clean.digest
 
 
+class TestTornCheckpoint:
+    """A kill mid-append tears the checkpoint's last line; the first
+    resume cuts it, so later resumes still replay the checkpoint."""
+
+    DAYS = 6
+
+    def test_two_resumes_after_a_torn_tail_match_batch(self, tmp_path):
+        complete = LogStore(tmp_path / "complete")
+        complete.write(small_bus(self.DAYS), SimClock(), system="TT",
+                       seed=1, duration_seconds=self.DAYS * DAY)
+        clean_writer, _, clean_make = make_setup(complete, tmp_path / "a")
+        clean = drive_daemon(clean_writer, clean_make(), step_days=1.0)
+        writer, out, make = make_setup(complete, tmp_path / "b")
+        daemon = make()
+        for day in range(1, self.DAYS + 1):
+            writer.feed_until(day * DAY)
+            daemon.tick()
+            if day == 2:  # killed while appending to both files
+                for name in ("checkpoint.jsonl", "alerts.jsonl"):
+                    last = (out / name).read_bytes().splitlines(True)[-1]
+                    with (out / name).open("ab") as handle:
+                        handle.write(last[:len(last) // 2])
+            if day in (2, 4):
+                daemon = make(resume=True)
+                daemon.start()
+        writer.feed_all()
+        daemon.tick()
+        report = daemon.finalize()
+        assert report.resumed
+        assert report.digest == report_digest(
+            streamed_batch_equivalent(writer.store, 1))
+        assert report.digest == clean.digest
+        assert (out / "alerts.jsonl").read_bytes() == \
+            clean.alerts_path.read_bytes()
+        assert not WatchCheckpoint(out).load().truncated_tail
+
+
 class TestBoundedMemory:
     def test_closed_windows_are_evicted(self, small_store, tmp_path):
         writer, out, make = make_setup(small_store, tmp_path)
