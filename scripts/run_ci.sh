@@ -62,7 +62,11 @@
 #      POST /v1/diagnose twice (second answer must be a byte-identical
 #      cache hit), reports honest counters on /v1/health, and drains
 #      cleanly on SIGTERM (tests/serve/test_cli_smoke.py, -m serve);
-#      the in-process coalescing/quota/drain matrix is tier-1
+#      plus the report-cache key: the fingerprint stats exactly the
+#      files the store lists for a diagnosis, and a store whose source
+#      directories are symlinks answers an append with a fresh miss
+#      (TestLogdirFingerprint, the symlinked-store service test); the
+#      in-process coalescing/quota/drain matrix is tier-1
 #      (tests/serve/)
 #   8. tier-2 chaos gate: corruption + supervision campaigns and the
 #      overhead benchmarks (scripts/run_chaos.sh)
@@ -130,6 +134,11 @@ echo "== serve smoke (pytest -m serve) =="
 # sockets (miss then byte-identical hit), health counters, SIGTERM
 # drain with exit 0 and the printed summary
 python -m pytest tests/serve/test_cli_smoke.py -m serve -q
+# the report-cache key covers exactly the listed files, through
+# symlinked source directories: an append is never a stale hit
+python -m pytest -q \
+    tests/serve/test_cache.py::TestLogdirFingerprint \
+    "tests/serve/test_service.py::TestDiagnoseEndpoint::test_symlinked_store_append_is_a_miss_with_fresh_bytes"
 
 echo "== benchmark shape smoke (--benchmark-disable) =="
 # bench_serve.py runs its storms in full here (it does not use the

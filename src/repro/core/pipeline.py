@@ -264,7 +264,9 @@ class HolisticDiagnosis:
         the resulting :class:`~repro.logs.health.IngestionHealth` rides
         on the pipeline and the report.  Under ``strict`` a single
         malformed line raises; the tolerant policies always produce a
-        (possibly degraded) pipeline.
+        (possibly degraded) pipeline.  A source is missing when the
+        reads listed no file for it (``health.missing_sources()``), so
+        a caller-supplied ``health`` must not carry an earlier pass.
 
         ``cache`` attaches a persistent parse cache to the ingestion
         pass (see :meth:`~repro.logs.store.LogStore.with_cache` for the
@@ -287,7 +289,6 @@ class HolisticDiagnosis:
                 kwargs["total_nodes"] = get_system(manifest.system).nodes
             except KeyError:
                 pass
-        missing = [s for s in LogSource if not store.source_files(s)]
         kwargs.setdefault("platform", store.catalog.name)
         # ingest (cache decode or parse, k-way merges) and the build run
         # in one collector pause: a gap between them would let the next
@@ -301,7 +302,6 @@ class HolisticDiagnosis:
                 internal=internal,
                 external=external,
                 scheduler=scheduler,
-                missing_sources=missing,
                 ingestion_health=health,
                 **kwargs,
             )

@@ -19,12 +19,13 @@ so a job's user appears under one pseudonym everywhere.
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import re
 from pathlib import Path
 from typing import Optional
 
-from repro.logs.store import LogStore, _SOURCE_PATHS
+from repro.logs.store import LogStore, open_log_text
 
 __all__ = ["Anonymizer", "anonymize_store"]
 
@@ -112,8 +113,11 @@ def anonymize_store(
     """Write a sanitized copy of a whole log directory.
 
     The manifest is copied verbatim (it contains no identities); every
-    log file is rewritten line by line through one shared
-    :class:`Anonymizer`, so pseudonyms are consistent across sources.
+    file a diagnosis reads (:meth:`LogStore.listed_files`: rotated,
+    gzipped and live) is rewritten under its own name and compression,
+    line by line through one shared :class:`Anonymizer`, so pseudonyms
+    are consistent across sources and the copy diagnoses like the
+    original.
     """
     anon = anonymizer or Anonymizer(secret=secret,
                                     permute_cabinets=permute_cabinets)
@@ -123,13 +127,16 @@ def anonymize_store(
     manifest_path = src.root / "manifest.json"
     if manifest_path.is_file():
         (dst_root / "manifest.json").write_text(manifest_path.read_text())
-    for rel in _SOURCE_PATHS.values():
-        src_path = src.root / rel
-        if not src_path.is_file():
-            continue
-        dst_path = dst_root / rel
-        dst_path.parent.mkdir(parents=True, exist_ok=True)
-        with src_path.open() as fin, dst_path.open("w") as fout:
-            for line in fin:
-                fout.write(anon.line(line.rstrip("\n")) + "\n")
+    for files in src.listed_files().values():
+        for rel in files:
+            dst_path = dst_root / rel
+            dst_path.parent.mkdir(parents=True, exist_ok=True)
+            with open_log_text(src.root / rel) as fin:
+                text = fin.read()
+            # only "\n" ends a line, and a torn final line stays torn
+            text = "\n".join(map(anon.line, text.split("\n")))
+            opener = gzip.open if dst_path.suffix == ".gz" else open
+            with opener(dst_path, "wt", encoding="utf-8",
+                        newline="") as fout:
+                fout.write(text)
     return dst

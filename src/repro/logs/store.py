@@ -86,13 +86,21 @@ def _merge_records(lists: list[list[ParsedRecord]]) -> list[ParsedRecord]:
     return sorted(chain.from_iterable(lists), key=_TIME_KEY)
 
 
+#: each store-relative source directory with the sources it holds, by
+#: base name: ``p0/`` holds three, so one listing of it serves all three
+_SOURCE_DIRS: dict[str, tuple[tuple[LogSource, str], ...]] = {
+    "p0": ((LogSource.CONSOLE, "console.log"),
+           (LogSource.MESSAGES, "messages.log"),
+           (LogSource.CONSUMER, "consumer.log")),
+    "controller": ((LogSource.CONTROLLER, "controller.log"),),
+    "erd": ((LogSource.ERD, "event.log"),),
+    "sched": ((LogSource.SCHEDULER, "sched.log"),),
+}
+
 _SOURCE_PATHS: dict[LogSource, str] = {
-    LogSource.CONSOLE: "p0/console.log",
-    LogSource.MESSAGES: "p0/messages.log",
-    LogSource.CONSUMER: "p0/consumer.log",
-    LogSource.CONTROLLER: "controller/controller.log",
-    LogSource.ERD: "erd/event.log",
-    LogSource.SCHEDULER: "sched/sched.log",
+    source: f"{rel_dir}/{base_name}"
+    for rel_dir, sources in _SOURCE_DIRS.items()
+    for source, base_name in sources
 }
 
 
@@ -135,6 +143,14 @@ def _base_names(directory: Path | str, names: Container[str],
     return [name for name in (base_name, base_name + ".gz")
             if name in names
             and os.path.isfile(os.path.join(directory, name))]
+
+
+def _source_names(directory: Path | str, names: list[str],
+                  base_name: str) -> list[str]:
+    """One source's file names among its directory's ``names``, in read
+    order: the rotated segments, then the live base files."""
+    return (_segment_names(names, base_name)
+            + _base_names(directory, names, base_name))
 
 
 @dataclass(frozen=True)
@@ -583,15 +599,35 @@ class LogStore:
         where its plain twin would), then the live base file and its
         ``.gz`` twin, which hold the newest lines -- so file order is
         time order within a source.  One ``listdir`` of the source's
-        directory, matched by name (:func:`_segment_names`, then
-        :func:`_base_names`).
+        directory, matched by name (:func:`_source_names`).
         """
         base = self.root / _SOURCE_PATHS[source]
         parent = base.parent
-        names = _list_dir(parent)
         return [parent / name
-                for name in (_segment_names(names, base.name)
-                             + _base_names(parent, names, base.name))]
+                for name in _source_names(parent, _list_dir(parent),
+                                          base.name)]
+
+    def source_dirs(self) -> dict[Path, tuple[tuple[LogSource, str], ...]]:
+        """Each source directory with the sources it holds, by base name:
+        the unit :meth:`listed_files` and the tailer's poll list by."""
+        return {self.root / rel_dir: sources
+                for rel_dir, sources in _SOURCE_DIRS.items()}
+
+    def listed_files(self) -> dict[LogSource, list[str]]:
+        """Every source's :meth:`source_files`, as store-relative paths.
+
+        The whole file set a diagnosis reads, in source order, from one
+        listing per source directory: the service's report-cache
+        fingerprint stats exactly these files.
+        """
+        files: dict[LogSource, list[str]] = {}
+        for rel_dir, sources in _SOURCE_DIRS.items():
+            directory = os.path.join(self.root, rel_dir)
+            names = _list_dir(directory)
+            for source, base_name in sources:
+                files[source] = [f"{rel_dir}/{name}" for name in
+                                 _source_names(directory, names, base_name)]
+        return files
 
     def quarantine_path(self, source: LogSource) -> Path:
         """Where quarantined raw lines of one source are collected."""

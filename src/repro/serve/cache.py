@@ -7,13 +7,16 @@ tuple, so a warm repeat costs a fingerprint probe instead of a pipeline
 run -- and still returns byte-identical output, because the bytes *are*
 the first run's.
 
-Freshness comes from the PR 8 parse-cache fingerprint discipline
-rather than TTLs: the key folds in
+Freshness comes from the parse cache's fingerprint discipline rather
+than TTLs: the key folds in
 
-* a **logdir content fingerprint** -- manifest bytes plus every log
-  file's ``(relative path, size, mtime_ns)``, so an appended line, a
-  rotated segment or a swapped manifest re-keys every request against
-  that directory;
+* a **logdir content fingerprint** -- manifest bytes plus the
+  ``(relative path, size, mtime_ns)`` of every file the store's own
+  listing (:meth:`~repro.logs.store.LogStore.listed_files`) hands a
+  diagnosis, so an appended line, a rotated or gzipped segment or a
+  swapped manifest re-keys every request against that directory, and
+  nothing the diagnosis does not read (a parse cache, quarantine, a
+  stray file) ever does;
 * the **environment fingerprint** of :mod:`repro.logs.cache` (catalog
   vocabulary + record layout + cache format), so editing a platform
   catalog invalidates served reports exactly when it invalidates
@@ -34,12 +37,11 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from stat import S_ISREG
 from typing import Optional
 
 from repro.core.serialize import canonical_json
 from repro.logs.cache import CACHE_FORMAT, catalog_fingerprint
-from repro.logs.store import _SOURCE_PATHS
+from repro.logs.store import LogStore
 
 __all__ = [
     "CachedResponse",
@@ -48,49 +50,24 @@ __all__ = [
     "request_key",
 ]
 
-#: top-level store directories the fingerprint never walks
-_DERIVED_DIRS = frozenset((".parse-cache", "quarantine"))
-
-#: store-relative directories that hold log sources
-_SOURCE_DIRS = frozenset(rel.rpartition("/")[0]
-                         for rel in _SOURCE_PATHS.values())
-
-
-def _cache_rel(root: Path, cache: Path | str | None) -> Optional[str]:
-    """``cache`` relative to ``root`` when the walk may skip it.
-
-    Only a directory strictly inside the logdir that holds none of the
-    source directories: a cache that wraps log files keeps the full
-    walk, so log content is never hidden from the fingerprint.
-    """
-    if cache is None:
-        return None
-    rel = os.path.relpath(Path(cache).resolve(), root.resolve())
-    rel = rel.replace(os.sep, "/")
-    if rel == "." or rel == ".." or rel.startswith("../"):
-        return None
-    if any(src == rel or src.startswith(rel + "/") for src in _SOURCE_DIRS):
-        return None
-    return rel
-
 
 def logdir_fingerprint(logdir: Path | str,
-                       platform: Optional[str] = None,
-                       cache: Path | str | None = None) -> str:
+                       platform: Optional[str] = None) -> str:
     """Content fingerprint of one log directory under one dialect.
 
-    sha256 over the manifest bytes, every log file's
-    ``(relative path, size, mtime_ns)`` in sorted order, and the PR 8
-    environment fingerprint (catalog vocabulary + parsed-record layout
-    + cache format) of the dialect the directory would be read under.
-    Cheap (pure ``stat``, no content reads) yet conservative: any
-    append, rotation, truncation or catalog edit changes it.  ``cache``
-    names the request's own parse-cache directory: inside the logdir it
-    is pruned like ``.parse-cache/`` (see :func:`_cache_rel`), so the
-    first request's cache writes do not re-key its repeats.
+    sha256 over the parse cache's environment fingerprint (format +
+    catalog vocabulary + parsed-record layout) of the dialect the
+    directory would be read under, the manifest bytes, and the
+    ``(store-relative path, size, mtime_ns)`` of every file
+    :meth:`~repro.logs.store.LogStore.listed_files` lists -- exactly
+    the files a diagnosis reads, through symlinked source directories
+    too.  Cheap (one listing per source directory and a ``stat`` per
+    file, no content reads) yet conservative: any append, rotation,
+    truncation, manifest or catalog edit changes it.  Nothing else in
+    the directory counts: a parse cache or quarantine anywhere inside
+    it, or a stray non-log file, never re-keys a request.
     """
     root = Path(logdir)
-    cache_rel = _cache_rel(root, cache)
     hasher = hashlib.sha256()
     hasher.update(f"{CACHE_FORMAT}\x00".encode())
     try:
@@ -104,36 +81,14 @@ def logdir_fingerprint(logdir: Path | str,
     if manifest.is_file():
         hasher.update(manifest.read_bytes())
     hasher.update(b"\x00")
-    entries = []
-    top = os.fspath(root)
-    for dirpath, dirnames, filenames in os.walk(top):
-        if dirpath == top:
-            # the store's own parse cache and quarantine files are
-            # derived artifacts of reading, not content: a cache
-            # populated by the first request must not invalidate the
-            # second -- pruned before the walk stats anything in them
-            dirnames[:] = [name for name in dirnames
-                           if name not in _DERIVED_DIRS]
-            rel_dir = ""
-        else:
-            rel_dir = os.path.relpath(dirpath, top).replace(os.sep, "/") + "/"
-        if cache_rel is not None:
-            dirnames[:] = [name for name in dirnames
-                           if rel_dir + name != cache_rel]
-        for name in filenames:
-            rel = rel_dir + name
-            if rel == "manifest.json":
-                continue
+    for files in LogStore(root).listed_files().values():
+        for rel in files:
             try:
-                stat = os.stat(os.path.join(dirpath, name))
+                stat = os.stat(os.path.join(root, rel))
             except OSError:
                 continue  # a dangling link, or gone since the listing
-            if S_ISREG(stat.st_mode):
-                entries.append(
-                    f"{rel}\x00{stat.st_size}\x00{stat.st_mtime_ns}")
-    for entry in sorted(entries):
-        hasher.update(entry.encode())
-        hasher.update(b"\x01")
+            hasher.update(
+                f"{rel}\x00{stat.st_size}\x00{stat.st_mtime_ns}\x01".encode())
     return hasher.hexdigest()
 
 

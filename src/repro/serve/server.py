@@ -234,9 +234,7 @@ class DiagnosisService:
                 404, f"{req.logdir} is not a log store (no manifest.json)")
         endpoint = "windowed" if windowed else "diagnose"
         kind = "windows" if windowed else "report"
-        fingerprint = logdir_fingerprint(
-            logdir, req.platform,
-            cache=req.cache if isinstance(req.cache, str) else None)
+        fingerprint = logdir_fingerprint(logdir, req.platform)
         key = request_key(
             logdir, fingerprint, endpoint=endpoint,
             window_days=req.window_days, stride_days=req.stride_days,

@@ -188,10 +188,7 @@ class LogTailer:
             source: [] for source in LogSource}
         #: per source directory: the sources it holds, by base name
         #: (``p0/`` holds three, listed once per poll for all of them)
-        self._dirs: dict[Path, list[tuple[LogSource, str]]] = {}
-        for source in LogSource:
-            base = store.path_for(source)
-            self._dirs.setdefault(base.parent, []).append((source, base.name))
+        self._dirs = store.source_dirs()
         #: per source directory: its names at the last listing, as
         #: listed and as a set
         self._listing: dict[Path, tuple[list[str], frozenset[str]]] = {}

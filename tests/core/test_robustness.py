@@ -10,6 +10,7 @@ import random
 import pytest
 
 from repro.core.pipeline import HolisticDiagnosis
+from repro.logs.health import IngestionHealth
 from repro.logs.record import LogSource
 from repro.logs.store import LogStore
 
@@ -76,6 +77,19 @@ class TestDamagedLogs:
         report = HolisticDiagnosis.from_store(damaged_store).run()
         assert report.job_census["jobs"] == 0
         assert report.same_job_groups == []
+
+    def test_missing_sources_come_from_the_reads_listing(self,
+                                                         damaged_store):
+        for source in (LogSource.MESSAGES, LogSource.SCHEDULER):
+            damaged_store.path_for(source).unlink()
+        listed = [s for s in LogSource if not damaged_store.source_files(s)]
+        assert listed == [LogSource.MESSAGES, LogSource.SCHEDULER]
+        supplied = IngestionHealth()
+        own = HolisticDiagnosis.from_store(damaged_store)
+        given = HolisticDiagnosis.from_store(damaged_store, health=supplied)
+        assert own.missing_sources == given.missing_sources == listed
+        assert supplied.missing_sources() == listed
+        assert own.degradation() == given.degradation()
 
     def test_empty_store_yields_empty_report(self, tmp_path):
         from repro.logs.record import LogBus

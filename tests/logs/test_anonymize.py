@@ -83,3 +83,45 @@ class TestAnonymizeStore:
         if original_users:
             for user in original_users:
                 assert f"user={user} " not in sanitized_text
+
+
+class TestAnonymizeRotatedStore:
+    def test_every_segment_is_copied(self, tmp_path):
+        import gzip
+
+        from repro.core.pipeline import HolisticDiagnosis
+        from repro.logs.health import IngestionHealth
+        from repro.logs.record import LogSource
+        from repro.simul.clock import DAY, SimClock
+        from tests.stream.conftest import small_bus
+
+        store = LogStore(tmp_path / "logs")
+        store.write(small_bus(6), SimClock(), system="TT", seed=1,
+                    duration_seconds=6 * DAY, rotate_daily=True)
+        first = store.source_files(LogSource.CONSOLE)[0]
+        with gzip.open(first.with_name(first.name + ".gz"), "wb") as fh:
+            fh.write(first.read_bytes())
+        first.unlink()
+        last = store.source_files(LogSource.SCHEDULER)[-1]
+        with last.open("a") as fh:
+            fh.write("2015-01-10T23:59:59.000000 sdb slurmctld: torn user=u1207")
+
+        dst = anonymize_store(store, tmp_path / "anon")
+        def layout(logs):
+            return {source: [path.relative_to(logs.root)
+                             for path in logs.source_files(source)]
+                    for source in LogSource}
+
+        assert layout(dst) == layout(store)
+        assert dst.line_counts() == store.line_counts()
+        torn = dst.source_files(LogSource.SCHEDULER)[-1].read_text()
+        assert not torn.endswith("\n") and "u1207" not in torn.rsplit("\n", 1)[1]
+        healths, failures = [], []
+        for root in (store, dst):
+            health = IngestionHealth()
+            diag = HolisticDiagnosis.from_store(root, health=health)
+            healths.append(health)
+            failures.append([(f.node, f.time) for f in diag.failures])
+        assert healths[0] == healths[1]
+        assert healths[0].partial_tails == 1
+        assert failures[0] == failures[1] and len(failures[0]) == 6

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import os
 from pathlib import Path
@@ -55,21 +56,53 @@ class TestLogdirFingerprint:
 
     def test_own_cache_dir_inside_the_logdir_is_pruned(self, service_root):
         logs = service_root / "logs"
-        before = logdir_fingerprint(logs, cache=logs / "pc")
+        before = logdir_fingerprint(logs)
         api.diagnose(str(logs), cache=str(logs / "pc"))
         assert any((logs / "pc").iterdir())
-        assert logdir_fingerprint(logs, cache=logs / "pc") == before
-        # without naming it, the same files are content like any other
-        assert logdir_fingerprint(logs) != before
+        assert logdir_fingerprint(logs) == before
 
     def test_cache_wrapping_a_source_dir_keeps_the_full_walk(
             self, service_root):
         logs = service_root / "logs"
-        before = logdir_fingerprint(logs, cache=logs / "p0")
+        before = logdir_fingerprint(logs)
+        api.diagnose(str(logs), cache=str(logs / "p0"))
+        assert logdir_fingerprint(logs) == before
         touch_store(logs / "p0", b"2099-01-01 injected line\n")
-        assert logdir_fingerprint(logs, cache=logs / "p0") != before
-        assert (logdir_fingerprint(logs, cache=logs)
-                == logdir_fingerprint(logs))
+        assert logdir_fingerprint(logs) != before
+
+    def test_cache_inside_a_source_dir_does_not_rekey(self, service_root):
+        logs = service_root / "logs"
+        before = logdir_fingerprint(logs)
+        api.diagnose(str(logs), cache=str(logs / "p0" / "pc"))
+        assert any((logs / "p0" / "pc").iterdir())
+        assert logdir_fingerprint(logs) == before
+
+    def test_stray_non_log_file_does_not_rekey(self, service_root):
+        logs = service_root / "logs"
+        (logs / "notes").mkdir()
+        readme = logs / "notes" / "readme.txt"
+        readme.write_text("operator notes")
+        before = logdir_fingerprint(logs)
+        readme.write_text("operator notes, edited at length")
+        assert logdir_fingerprint(logs) == before
+
+    def test_new_gzipped_segment_rekeys(self, service_root):
+        logs = service_root / "logs"
+        before = logdir_fingerprint(logs)
+        with gzip.open(logs / "p0" / "console-20150104.log.gz", "wt") as fh:
+            fh.write("2015-01-04T00:00:01.000000 c0-0c0s0n0 kernel: x\n")
+        assert logdir_fingerprint(logs) != before
+
+    def test_symlinked_source_dirs_are_covered(self, service_root,
+                                               tmp_path_factory):
+        logs = service_root / "logs"
+        mount = tmp_path_factory.mktemp("mount")
+        for name in ("p0", "controller", "erd", "sched"):
+            (logs / name).rename(mount / name)
+            (logs / name).symlink_to(mount / name, target_is_directory=True)
+        before = logdir_fingerprint(logs)
+        touch_store(mount / "p0", b"2099-01-01 injected line\n")
+        assert logdir_fingerprint(logs) != before
 
     def test_platform_changes_fingerprint(self, service_root):
         logs = service_root / "logs"
@@ -104,25 +137,21 @@ class TestLogdirFingerprint:
         (logs / "p0" / "console-20150104.log.gz").write_bytes(b"segment")
         (logs / "notes").mkdir()
         (logs / "notes" / "readme.txt").write_text("operator notes")
-        # the definition: format, catalog, manifest, then every other
-        # regular file outside the derived dirs as rel/size/mtime_ns
+        # the definition: format, catalog, manifest, then every file
+        # the store lists for a diagnosis as rel/size/mtime_ns
         hasher = hashlib.sha256()
         hasher.update(f"{CACHE_FORMAT}\x00".encode())
         hasher.update(catalog_fingerprint(None).encode())
         hasher.update(b"\x00")
         hasher.update((logs / "manifest.json").read_bytes())
         hasher.update(b"\x00")
-        entries = []
-        for path in logs.rglob("*"):
-            rel = path.relative_to(logs).as_posix()
-            if (not path.is_file() or rel == "manifest.json"
-                    or rel.startswith((".parse-cache/", "quarantine/"))):
-                continue
-            stat = path.stat()
-            entries.append(f"{rel}\x00{stat.st_size}\x00{stat.st_mtime_ns}")
-        for entry in sorted(entries):
-            hasher.update(entry.encode())
-            hasher.update(b"\x01")
+        store = LogStore(logs)
+        for source in LogSource:
+            for path in store.source_files(source):
+                rel = path.relative_to(logs).as_posix()
+                stat = path.stat()
+                hasher.update(f"{rel}\x00{stat.st_size}\x00"
+                              f"{stat.st_mtime_ns}\x01".encode())
         assert logdir_fingerprint(logs) == hasher.hexdigest()
 
 

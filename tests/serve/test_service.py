@@ -19,7 +19,10 @@ import pytest
 
 from repro import api
 from repro.core.serialize import canonical_json
+from repro.logs.record import LogRecord, LogSource
+from repro.logs.store import LogStore
 from repro.serve import DiagnosisService, ServiceConfig
+from repro.simul.clock import DAY
 
 from tests.serve.conftest import http_request, run
 from tests.serve.test_cache import touch_store
@@ -95,6 +98,33 @@ class TestDiagnoseEndpoint:
         assert h2["x-cache"] == "miss"  # fingerprint moved: no stale hit
         assert h1["x-request-key"] != h2["x-request-key"]
         assert flights == 2
+
+    def test_symlinked_store_append_is_a_miss_with_fresh_bytes(
+            self, service_root, tmp_path_factory):
+        # a store whose source directories live on another mount and
+        # are linked into place
+        logs = service_root / "logs"
+        mount = tmp_path_factory.mktemp("mount")
+        for name in ("p0", "controller", "erd", "sched"):
+            (logs / name).rename(mount / name)
+            (logs / name).symlink_to(mount / name, target_is_directory=True)
+        store = LogStore(logs)
+        panic = LogRecord(2 * DAY + 9900.0, LogSource.CONSOLE, "c0-0c0s3n3",
+                          "kernel_panic", {"why": "Fatal exception"})
+
+        async def action(service):
+            first = await http_request(service.host, service.port, "POST",
+                                       "/v1/diagnose", diagnose_body())
+            store.append_records([panic], store.manifest().clock())
+            second = await http_request(service.host, service.port, "POST",
+                                        "/v1/diagnose", diagnose_body())
+            return first, second
+
+        (s1, h1, b1), (s2, h2, b2) = run(with_service(service_root, action))
+        assert (s1, s2) == (200, 200)
+        assert (h1["x-cache"], h2["x-cache"]) == ("miss", "miss")
+        assert b2 != b1
+        assert b2 == canonical_json(api.diagnose(logs)).encode("utf-8")
 
     def test_windowed_parity_with_direct_api(self, service_root):
         windows = api.diagnose_windowed(service_root / "logs",
