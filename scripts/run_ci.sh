@@ -39,8 +39,14 @@
 #      the cache-transparency legs (cached, warm, post-corruption runs
 #      must hash identically to the uncached goldens).  The encoder
 #      oracle (tests/core/test_serialize.py: the compiled canonical
-#      encoder against the original walker on generated values) and
-#      the committed goldens together are the byte contract
+#      encoder against the original walker on generated values,
+#      evidence records included, which take the record plan) and the
+#      committed goldens together are the byte contract; then, by name,
+#      the record plan's identity memo (a record reached twice is
+#      encoded once, tests/core/test_serialize.py::TestAliasing::
+#      test_shared_record_is_encoded_once) and the job-holder table
+#      against the brute-force holder rule it replaced
+#      (tests/core/test_errors_jobs.py::TestHolderTable)
 #   5. parse-cache warm-run smoke: focused re-run of the delta-only
 #      ingest properties of LogStore reads (a warm read parses zero
 #      files, a changed dir parses only the delta;
@@ -106,6 +112,9 @@ echo "== parity + windowed-consistency gate (pytest -m parity) =="
 # the byte contract: the encoder oracle and the committed goldens
 python -m pytest tests/core/test_serialize.py -q
 python -m pytest tests/core/test_parity_gate.py -m parity -q
+python -m pytest \
+    tests/core/test_serialize.py::TestAliasing::test_shared_record_is_encoded_once \
+    tests/core/test_errors_jobs.py::TestHolderTable -q
 
 echo "== parse-cache warm-run smoke (zero files re-parsed) =="
 # part of tier-1 too; the focused re-run isolates the cache property

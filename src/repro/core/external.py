@@ -22,6 +22,7 @@ lookup.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -84,6 +85,16 @@ NODE_SCOPED_PRECURSORS = frozenset({"nvf", "nhf", "ecb_fault"})
 #: :meth:`ExternalIndex.from_stream` pulls from a shared stream index
 INDEXED_EVENTS = (HEALTH_FAULT_EVENTS | SEDC_WARNING_EVENTS
                   | frozenset({"ec_node_info_off", "link_failover"}))
+
+
+#: event class codes of :meth:`ExternalIndex.build`'s one branch per record
+_FAULT, _SEDC, _OFF, _FAILOVER = range(4)
+_EVENT_CLASS = {
+    **{event: _FAULT for event in HEALTH_FAULT_EVENTS},
+    **{event: _SEDC for event in SEDC_WARNING_EVENTS},
+    "ec_node_info_off": _OFF,
+    "link_failover": _FAILOVER,
+}
 
 
 @lru_cache(maxsize=8192)
@@ -153,72 +164,83 @@ class ExternalIndex:
 
     @classmethod
     def build(cls, external: Iterable[ParsedRecord]) -> "ExternalIndex":
-        """Index a stream of controller + ERD records."""
+        """Index a stream of controller + ERD records.
+
+        One pass that branches once per record on its event class; the
+        blade and cabinet of each distinct subject are parsed once.
+        """
         idx = cls()
+        class_of = _EVENT_CLASS.get
+        events = idx.events
+        blade_records = idx.blade_fault_records
+        cabinet_records = idx.cabinet_fault_records
+        sedc = idx.sedc
+        #: subject cname -> (blade, cabinet), for this call only
+        places: dict[str, tuple[Optional[str], Optional[str]]] = {}
         for rec in external:
-            if rec.event is None:
+            event = rec.event
+            kind = class_of(event)
+            if kind is None:
                 continue
+            attrs = rec.attrs
             # the component a record is *about*: the src/node attribute
             # when present, else the reporting component
-            about = rec.attr("node") or rec.attr("src") or rec.component
-            if rec.event == "nhf":
-                idx.nhf.append((rec.time, about))
-            elif rec.event == "nvf":
-                idx.nvf.append((rec.time, about))
-            elif rec.event == "ec_node_info_off":
-                idx.node_off.append((rec.time, about))
-            elif rec.event == "link_failover":
-                idx.failovers.append((
-                    rec.time, about, rec.attr("link") or "?",
-                    rec.attr("status") == "ok",
-                ))
-            if rec.event in HEALTH_FAULT_EVENTS:
-                blade = _blade_of(about)
+            about = attrs.get("node") or attrs.get("src") or rec.component
+            t = rec.time
+            if kind == _FAULT:
+                if event == "nhf":
+                    idx.nhf.append((t, about))
+                elif event == "nvf":
+                    idx.nvf.append((t, about))
+                place = places.get(about)
+                if place is None:
+                    place = places[about] = (_blade_of(about),
+                                             _cabinet_of(about))
+                blade, cabinet = place
                 if blade is not None:
-                    idx.blade_faults.setdefault(blade, []).append(rec.time)
-                    idx.blade_fault_records.setdefault(blade, []).append(
-                        (rec.time, about)
-                    )
-                cabinet = _cabinet_of(about)
+                    blade_records.setdefault(blade, []).append((t, about))
                 if cabinet is not None:
-                    idx.cabinet_faults.setdefault(cabinet, []).append(rec.time)
-                    idx.cabinet_fault_records.setdefault(cabinet, []).append(
-                        (rec.time, about)
-                    )
-                idx.events.append((rec.time, about, rec.event))
-            elif rec.event in SEDC_WARNING_EVENTS:
-                idx.sedc.setdefault(about, []).append(rec.time)
+                    cabinet_records.setdefault(cabinet, []).append((t, about))
+                events.append((t, about, event))
+            elif kind == _SEDC:
+                sedc.setdefault(about, []).append(t)
                 idx.sedc_events.append(
-                    (rec.time, about, rec.attr("sensor") or rec.attr("kind") or "?")
-                )
-                idx.events.append((rec.time, about, rec.event))
-        for table in (idx.blade_faults, idx.cabinet_faults, idx.sedc):
-            for times in table.values():
-                times.sort()
-        for table2 in (idx.blade_fault_records, idx.cabinet_fault_records):
-            for pairs in table2.values():
+                    (t, about, attrs.get("sensor") or attrs.get("kind") or "?"))
+                events.append((t, about, event))
+            elif kind == _OFF:
+                idx.node_off.append((t, about))
+            else:  # _FAILOVER
+                idx.failovers.append((t, about, attrs.get("link") or "?",
+                                      attrs.get("status") == "ok"))
+        # a component's sorted fault times are its sorted pairs' times
+        for records, faults in ((blade_records, idx.blade_faults),
+                                (cabinet_records, idx.cabinet_faults)):
+            for cname, pairs in records.items():
                 pairs.sort()
+                faults[cname] = [t for t, _ in pairs]
+        for times in sedc.values():
+            times.sort()
         idx.nhf.sort()
         idx.nvf.sort()
         idx.node_off.sort()
-        idx.events.sort()
+        events.sort()
         return idx
 
     # -- cached derived tables -----------------------------------------
     @property
-    def off_times_by_node(self) -> dict[str, np.ndarray]:
-        """Node -> sorted power-off notification times (built once).
+    def off_times_by_node(self) -> dict[str, list[float]]:
+        """Node -> sorted list of power-off notification times (built once).
 
         Shared by intended-shutdown exclusion and the NHF breakdown,
         which each used to rebuild it from :attr:`node_off`.
         """
         cached = self.__dict__.get("_off_times_by_node")
         if cached is None:
-            grouped: dict[str, list[float]] = defaultdict(list)
+            cached = {}
             for t, node in self.node_off:
-                grouped[node].append(t)
-            cached = {node: np.sort(np.asarray(times))
-                      for node, times in grouped.items()}
+                cached.setdefault(node, []).append(t)
+            for times in cached.values():
+                times.sort()
             self.__dict__["_off_times_by_node"] = cached
         return cached
 
@@ -253,8 +275,8 @@ class ExternalIndex:
         return cached
 
     @property
-    def blade_precursors(self) -> dict[str, tuple[np.ndarray, tuple[str, ...]]]:
-        """Blade -> (sorted precursor times, matching event keys).
+    def blade_precursors(self) -> dict[str, tuple[list[float], tuple[str, ...]]]:
+        """Blade -> (sorted list of precursor times, matching event keys).
 
         Every precursor-class event whose subject projects onto the
         blade, regardless of node scoping -- the root-cause engine's
@@ -273,7 +295,7 @@ class ExternalIndex:
             for blade, entries in grouped.items():
                 entries.sort()
                 cached[blade] = (
-                    np.asarray([t for t, _ in entries]),
+                    [t for t, _ in entries],
                     tuple(event for _, event in entries),
                 )
             self.__dict__["_blade_precursors"] = cached
@@ -287,10 +309,13 @@ class ExternalIndex:
         times = table.get(cname)
         if not times:
             return False
-        arr = np.asarray(times)
-        lo = np.searchsorted(arr, time - window, side="left")
-        hi = np.searchsorted(arr, time + window, side="right")
-        return hi > lo
+        return _any_within(times, time - window, time + window)
+
+
+def _any_within(times: Sequence[float], lo_t: float, hi_t: float) -> bool:
+    """Does the sorted ``times`` hold a value in ``[lo_t, hi_t]``?"""
+    lo = bisect_left(times, lo_t)
+    return lo < len(times) and times[lo] <= hi_t
 
 
 @dataclass(frozen=True)
@@ -311,7 +336,7 @@ def correspondence(
     failures: Sequence[DetectedFailure],
     window: float = HOUR,
     group_seconds: float = MONTH,
-    fail_times: Optional[dict[str, np.ndarray]] = None,
+    fail_times: Optional[dict[str, list[float]]] = None,
 ) -> list[CorrespondenceStats]:
     """Fraction of fault events followed by the named node failing.
 
@@ -327,11 +352,7 @@ def correspondence(
     grouped: dict[int, list[bool]] = defaultdict(list)
     for t, node in fault_events:
         times = fail_times.get(node)
-        hit = False
-        if times is not None:
-            lo = np.searchsorted(times, t - 120.0, side="left")
-            hi = np.searchsorted(times, t + window, side="right")
-            hit = hi > lo
+        hit = times is not None and _any_within(times, t - 120.0, t + window)
         grouped[int(t // group_seconds)].append(hit)
     return [
         CorrespondenceStats(group=g, faults=len(hits), corresponding=sum(hits))
@@ -358,20 +379,17 @@ def nhf_breakdown(
     index: ExternalIndex,
     failures: Sequence[DetectedFailure],
     window: float = HOUR,
-    fail_times: Optional[dict[str, np.ndarray]] = None,
+    fail_times: Optional[dict[str, list[float]]] = None,
 ) -> list[NhfBreakdown]:
     """Weekly NHF outcome breakdown (failed / power-off / skipped)."""
     fail_by_node = (fail_times if fail_times is not None
                     else failure_times_by_node(failures))
     off_by_node = index.off_times_by_node
 
-    def _near(table: dict[str, np.ndarray], node: str, t: float, w: float) -> bool:
+    def _near(table: dict[str, list[float]], node: str, t: float,
+              w: float) -> bool:
         times = table.get(node)
-        if times is None:
-            return False
-        lo = np.searchsorted(times, t - 120.0, side="left")
-        hi = np.searchsorted(times, t + w, side="right")
-        return hi > lo
+        return times is not None and _any_within(times, t - 120.0, t + w)
 
     weeks: dict[int, Counter] = defaultdict(Counter)
     for t, node in index.nhf:
@@ -416,9 +434,13 @@ def faulty_component_fractions(
         node: str,
         t_fail: float,
     ) -> bool:
-        for t, about in table.get(cname, ()):
-            if t < t_fail - window:
-                continue
+        entries = table.get(cname)
+        if not entries:
+            return False
+        # (t,) sorts before every (t, about) pair: the walk starts at the
+        # first entry at or after the window's start
+        for i in range(bisect_left(entries, (t_fail - window,)), len(entries)):
+            t, about = entries[i]
             if t > t_fail + window:
                 break
             if about == node and t >= t_fail:
@@ -500,9 +522,8 @@ def failover_census(
         times = fail_by_blade.get(blade)
         if not times:
             return False
-        arr = np.asarray(times)
-        lo = np.searchsorted(arr, t, side="left")
-        return lo < arr.size and arr[lo] - t <= window
+        lo = bisect_left(times, t)
+        return lo < len(times) and times[lo] - t <= window
 
     ok = sum(1 for _t, _s, _l, good in index.failovers if good)
     failed = [(t, s) for t, s, _l, good in index.failovers if not good]

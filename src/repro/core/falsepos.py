@@ -23,16 +23,15 @@ e.g. the paper's 30.77 % -> 21.43 %.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
-
-import numpy as np
 
 from repro.core.external import (
     EXTERNAL_PRECURSOR_EVENTS,
     NODE_SCOPED_PRECURSORS,
     ExternalIndex,
+    _any_within,
     _blade_of,
 )
 from repro.core.failure_detection import DetectedFailure
@@ -113,7 +112,7 @@ def compare_fpr(
     correlation_window: float = HOUR,
     episode_gap: float = 1800.0,
     stream: Optional["StreamIndex"] = None,
-    fail_times: Optional[dict[str, np.ndarray]] = None,
+    fail_times: Optional[dict[str, list[float]]] = None,
 ) -> FprComparison:
     """Score the internal-only and correlated detectors on one log set."""
     episodes = build_episodes(internal, episode_gap=episode_gap, stream=stream)
@@ -121,35 +120,27 @@ def compare_fpr(
     fail_by_node = (fail_times if fail_times is not None
                     else failure_times_by_node(failures))
 
-    # precursor times from the index's cached node/blade split (the
-    # entries are (time, event) pairs sorted by time)
+    # precursor events from the index's cached node/blade split: sorted
+    # (time, event) pairs, bisected with a (time,) probe, which sorts
+    # before every pair at that time
     cand_by_node, cand_by_blade = index.precursor_candidates
-    ext_by_node = {node: np.asarray([t for t, _ in entries])
-                   for node, entries in cand_by_node.items()}
-    ext_by_blade = {blade: np.asarray([t for t, _ in entries])
-                    for blade, entries in cand_by_blade.items()}
 
-    def _hit(arr: Optional[np.ndarray], lo_t: float, hi_t: float) -> bool:
-        if arr is None:
+    def _hit(entries: Optional[list], lo_t: float, hi_t: float) -> bool:
+        if entries is None:
             return False
-        lo = np.searchsorted(arr, lo_t, side="left")
-        hi = np.searchsorted(arr, hi_t, side="right")
-        return hi > lo
+        lo = bisect_left(entries, (lo_t,))
+        return lo < len(entries) and entries[lo][0] <= hi_t
 
     for ep in episodes:
         times = fail_by_node.get(ep.node)
         if times is not None:
-            lo = np.searchsorted(times, ep.start, side="left")
-            hi = np.searchsorted(times, ep.end + horizon, side="right")
-            ep.is_true_positive = hi > lo
+            ep.is_true_positive = _any_within(times, ep.start,
+                                              ep.end + horizon)
+        lo_t = ep.start - correlation_window
+        hi_t = ep.end + correlation_window
         blade = _blade_of(ep.node)
-        ep.has_external = _hit(
-            ext_by_node.get(ep.node),
-            ep.start - correlation_window, ep.end + correlation_window,
-        ) or (blade is not None and _hit(
-            ext_by_blade.get(blade),
-            ep.start - correlation_window, ep.end + correlation_window,
-        ))
+        ep.has_external = _hit(cand_by_node.get(ep.node), lo_t, hi_t) or (
+            blade is not None and _hit(cand_by_blade.get(blade), lo_t, hi_t))
 
     internal_alarms = len(episodes)
     internal_false = sum(1 for e in episodes if not e.is_true_positive)

@@ -35,8 +35,8 @@ resident set stays bounded by its active window.
 
 :func:`failure_times_by_node` is the same idea for the *derived* failure
 population: four analyses used to independently rebuild the per-node
-sorted failure-time arrays; the pipeline now builds them once and passes
-them down.
+sorted failure times; the pipeline now builds them once, as lists for
+:mod:`bisect` window queries, and passes them down.
 """
 
 from __future__ import annotations
@@ -52,16 +52,20 @@ from repro.obs import OBS
 __all__ = ["StreamIndex", "RecordIndex", "failure_times_by_node"]
 
 
-def failure_times_by_node(failures: Iterable) -> dict[str, np.ndarray]:
-    """Sorted per-node failure-time arrays for window correspondence.
+def failure_times_by_node(failures: Iterable) -> dict[str, list[float]]:
+    """Sorted per-node failure-time lists for window correspondence.
 
     Accepts anything with ``.node`` and ``.time`` (detected failures).
+    The values are plain lists: the analyses query them one scalar
+    window at a time with :mod:`bisect`, which costs a fraction of a
+    scalar ``np.searchsorted`` call.
     """
     grouped: dict[str, list[float]] = {}
     for f in failures:
         grouped.setdefault(f.node, []).append(f.time)
-    return {node: np.sort(np.asarray(times))
-            for node, times in grouped.items()}
+    for times in grouped.values():
+        times.sort()
+    return grouped
 
 
 class StreamIndex:

@@ -5,6 +5,8 @@ yielding :class:`JobView` objects with allocation node lists, exit codes
 and limit-violation events.  On top of that:
 
 * :func:`exit_census` -- Fig. 12's success / config-error / other split;
+* :class:`JobHolders` -- the job-holder table: which job held a node at
+  a given time, answered by one bisect per query;
 * :func:`job_failure_correlation` -- which failures happened on a node
   while a job held it, and how many failures share each job ID;
 * :func:`same_job_locality` -- Obs. 8: groups of same-job failures that
@@ -15,8 +17,10 @@ and limit-violation events.  On top of that:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from repro.core.failure_detection import DetectedFailure
@@ -24,6 +28,7 @@ from repro.logs.parsing import ParsedRecord
 
 __all__ = [
     "JobView",
+    "JobHolders",
     "parse_jobs",
     "exit_census",
     "job_failure_correlation",
@@ -31,14 +36,13 @@ __all__ = [
     "overallocation_report",
 ]
 
-_START_EVENTS = {"slurm_start", "torque_start", "cobalt_start"}
-_COMPLETE_EVENTS = {"slurm_complete", "torque_complete", "cobalt_complete"}
-_SUBMIT_EVENTS = {"slurm_submit", "torque_submit", "cobalt_submit"}
-_CANCEL_EVENTS = {"slurm_cancel", "torque_cancel", "cobalt_cancel"}
-_TIMEOUT_EVENTS = {"slurm_timeout", "torque_timeout", "cobalt_timeout"}
-_MEM_EVENTS = {"slurm_mem_exceeded", "torque_mem_exceeded",
-               "cobalt_mem_exceeded"}
-_REQUEUE_EVENTS = {"slurm_requeue", "torque_requeue", "cobalt_requeue"}
+#: scheduler event -> the lifecycle step it records, for every dialect
+_EVENT_KIND = {
+    f"{scheduler}_{kind}": kind
+    for scheduler in ("slurm", "torque", "cobalt")
+    for kind in ("submit", "start", "complete", "cancel", "timeout",
+                 "mem_exceeded", "requeue")
+}
 
 
 @dataclass
@@ -92,44 +96,115 @@ class JobView:
 
 
 def parse_jobs(scheduler_records: Iterable[ParsedRecord]) -> dict[int, JobView]:
-    """Reconstruct all jobs from a scheduler-log record stream."""
+    """Reconstruct all jobs from a scheduler-log record stream.
+
+    Any record with an event and a ``job`` attribute creates its job,
+    even when the event is not a lifecycle step.
+    """
     jobs: dict[int, JobView] = {}
-
-    def view(job_id: int) -> JobView:
-        jv = jobs.get(job_id)
-        if jv is None:
-            jv = JobView(job_id=job_id)
-            jobs[job_id] = jv
-        return jv
-
+    #: ``job`` attribute text -> its view, so each text is parsed once
+    by_text: dict[str, JobView] = {}
+    kind_of = _EVENT_KIND.get
     for rec in scheduler_records:
-        if rec.event is None:
+        event = rec.event
+        if event is None:
             continue
-        job_attr = rec.attr("job")
+        attrs = rec.attrs
+        job_attr = attrs.get("job")
         if job_attr is None:
             continue
-        jv = view(int(job_attr))
-        if rec.event in _SUBMIT_EVENTS:
-            jv.submit_time = rec.time
-        elif rec.event in _START_EVENTS:
+        jv = by_text.get(job_attr)
+        if jv is None:
+            job_id = int(job_attr)
+            jv = jobs.get(job_id)
+            if jv is None:
+                jv = jobs[job_id] = JobView(job_id=job_id)
+            by_text[job_attr] = jv
+        kind = kind_of(event)
+        if kind is None:
+            continue
+        if kind == "start":
             jv.start_time = rec.time
-            jv.user = rec.attr("user")
-            jv.app = rec.attr("app")
-            jv.nodes = [n for n in (rec.attr("nodes") or "").split(",") if n]
-        elif rec.event in _COMPLETE_EVENTS:
+            jv.user = attrs.get("user")
+            jv.app = attrs.get("app")
+            jv.nodes = [n for n in (attrs.get("nodes") or "").split(",") if n]
+        elif kind == "complete":
             jv.end_time = rec.time
             jv.exit_code = rec.attr_int("code")
-        elif rec.event in _CANCEL_EVENTS:
+        elif kind == "submit":
+            jv.submit_time = rec.time
+        elif kind == "cancel":
             jv.cancelled = True
-        elif rec.event in _TIMEOUT_EVENTS:
+        elif kind == "timeout":
             jv.timed_out = True
-        elif rec.event in _MEM_EVENTS:
+        elif kind == "mem_exceeded":
             jv.mem_exceeded = True
-        elif rec.event in _REQUEUE_EVENTS:
-            node = rec.attr("node")
+        else:  # requeue
+            node = attrs.get("node")
             if node:
                 jv.requeued_for_nodes.append(node)
     return jobs
+
+
+class JobHolders:
+    """The job-holder table: which job held a node at a given time.
+
+    Built once from ``jobs``: per node, the started jobs' spans sorted by
+    start time (stable, so equal starts keep ``jobs`` order), their ends
+    (infinite while unfinished) and the running maximum of those ends.
+    :meth:`holder` bisects on start and walks back only while that
+    running maximum plus ``grace`` still reaches ``t``.
+
+    The rule is :meth:`JobView.held_node_at`'s: a job holds a node at
+    ``t`` when ``start <= t <= end + grace``; an unstarted job never
+    holds one.  Among holders the latest start wins, and equal starts go
+    to the job that comes first in ``jobs`` order.
+    """
+
+    __slots__ = ("_by_node",)
+
+    def __init__(self, jobs: dict[int, JobView]) -> None:
+        spans: dict[str, list[tuple[float, float, JobView]]] = defaultdict(list)
+        for jv in jobs.values():
+            start = jv.start_time
+            if start is None:
+                continue
+            end = jv.end_time if jv.end_time is not None else float("inf")
+            for node in jv.nodes:
+                spans[node].append((start, end, jv))
+        #: node -> (starts, ends, running max of ends, jobs)
+        self._by_node: dict[str, tuple[list, list, list, list]] = {}
+        first = itemgetter(0)
+        for node, entries in spans.items():
+            entries.sort(key=first)
+            ends = [end for _, end, _ in entries]
+            reach, top = [], float("-inf")
+            for end in ends:
+                if end > top:
+                    top = end
+                reach.append(top)
+            self._by_node[node] = ([start for start, _, _ in entries], ends,
+                                   reach, [jv for _, _, jv in entries])
+
+    def holder(self, node: str, t: float,
+               grace: float = 900.0) -> Optional[JobView]:
+        """The job holding ``node`` at ``t``, or None (see the class)."""
+        table = self._by_node.get(node)
+        if table is None:
+            return None
+        starts, ends, reach, views = table
+        j = bisect_right(starts, t) - 1
+        while j >= 0 and reach[j] + grace >= t:
+            if ends[j] + grace >= t:
+                best, start = j, starts[j]
+                j -= 1
+                while j >= 0 and starts[j] == start:
+                    if ends[j] + grace >= t:
+                        best = j
+                    j -= 1
+                return views[best]
+            j -= 1
+        return None
 
 
 def exit_census(
@@ -162,6 +237,7 @@ def job_failure_correlation(
     jobs: dict[int, JobView],
     failures: Sequence[DetectedFailure],
     grace: float = 900.0,
+    holders: Optional[JobHolders] = None,
 ) -> dict[int, list[DetectedFailure]]:
     """Failures that happened while a job held the failing node.
 
@@ -169,19 +245,17 @@ def job_failure_correlation(
     at most one job (the one holding the node at the failure time; ties
     go to the later-starting job).  ``grace`` keeps counting failures for
     a few minutes after a job aborts (see :meth:`JobView.held_node_at`).
+    ``holders`` is ``jobs``' holder table when the caller already built
+    it (see :class:`JobHolders`).
     """
-    by_node: dict[str, list[JobView]] = defaultdict(list)
-    for jv in jobs.values():
-        for node in jv.nodes:
-            by_node[node].append(jv)
+    if holders is None:
+        holders = JobHolders(jobs)
+    holder_at = holders.holder
     out: dict[int, list[DetectedFailure]] = defaultdict(list)
     for f in failures:
-        holders = [jv for jv in by_node.get(f.node, ())
-                   if jv.held_node_at(f.node, f.time, grace=grace)]
-        if not holders:
-            continue
-        holder = max(holders, key=lambda jv: jv.start_time or 0.0)
-        out[holder.job_id].append(f)
+        holder = holder_at(f.node, f.time, grace)
+        if holder is not None:
+            out[holder.job_id].append(f)
     return dict(out)
 
 
@@ -190,14 +264,16 @@ def same_job_locality(
     failures: Sequence[DetectedFailure],
     max_span: float = 1800.0,
     min_failures: int = 2,
+    holders: Optional[JobHolders] = None,
 ) -> list[dict[str, object]]:
     """Obs. 8: same-job failure groups and their blade diversity.
 
     For each job with >= ``min_failures`` correlated failures within
     ``max_span`` seconds of each other, report the time span and how many
-    distinct blades the failing nodes occupied.
+    distinct blades the failing nodes occupied.  ``holders`` is ``jobs``'
+    holder table when the caller already built it.
     """
-    correlated = job_failure_correlation(jobs, failures)
+    correlated = job_failure_correlation(jobs, failures, holders=holders)
     groups = []
     for job_id, fs in sorted(correlated.items()):
         if len(fs) < min_failures:
@@ -302,8 +378,9 @@ register(AnalysisSpec(
 
 register(AnalysisSpec(
     name="same_job_groups",
-    inputs=("jobs", "failures"),
-    compute=same_job_locality,
+    inputs=("jobs", "failures", "job_holders"),
+    compute=lambda jobs, failures, holders: same_job_locality(
+        jobs, failures, holders=holders),
     neutral=list,
     required_sources=(LogSource.SCHEDULER,),
     doc="Obs. 8: co-failing nodes grouped by shared job",

@@ -18,6 +18,7 @@ evidence of trouble is the application's own misbehaviour).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
@@ -141,30 +142,31 @@ def compute_lead_times(
 
     out: list[LeadTimeRecord] = []
     for f in failures:
-        times = np.asarray(indicative_by_node.get(f.node, ()), dtype=float)
+        times = indicative_by_node.get(f.node)
         internal_first: Optional[float] = None
-        if times.size:
-            lo = np.searchsorted(times, f.time - internal_lookback, side="left")
-            hi = np.searchsorted(times, f.time, side="left")
-            if hi > lo:
+        if times:
+            lo = bisect_left(times, f.time - internal_lookback)
+            if lo < len(times) and times[lo] < f.time:
                 internal_first = float(times[lo])
         internal_lead = (f.time - internal_first) if internal_first is not None else None
 
+        # the earliest precursor in [horizon start, cutoff): the node's and
+        # the blade's sorted (time, event) pairs, each bisected with a
+        # (time,) probe, which sorts before every pair at that time
         external_lead: Optional[float] = None
-        blade = _blade_of(f.node)
-        horizon_start = f.time - precursor_window
+        probe = (f.time - precursor_window,)
         # the precursor must precede the first internal indication
         cutoff = internal_first if internal_first is not None else f.time
-        candidates = list(by_node.get(f.node, ()))
-        if blade is not None:
-            candidates.extend(by_blade.get(blade, ()))
-        candidates.sort()
-        for t, _event in candidates:
-            if t >= cutoff:
-                break
-            if t >= horizon_start:
-                external_lead = f.time - t
-                break
+        earliest = cutoff
+        blade = _blade_of(f.node)
+        for entries in (by_node.get(f.node),
+                        by_blade.get(blade) if blade is not None else None):
+            if entries:
+                lo = bisect_left(entries, probe)
+                if lo < len(entries) and entries[lo][0] < earliest:
+                    earliest = entries[lo][0]
+        if earliest < cutoff:
+            external_lead = f.time - earliest
         out.append(
             LeadTimeRecord(
                 node=f.node,

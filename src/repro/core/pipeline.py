@@ -43,7 +43,7 @@ from repro.core.failure_detection import DetectedFailure, FailureDetector
 from repro.core.falsepos import FprComparison
 from repro.core.gcpause import paused_gc
 from repro.core.index import RecordIndex, failure_times_by_node
-from repro.core.jobs import JobView, parse_jobs
+from repro.core.jobs import JobHolders, JobView, parse_jobs
 from repro.core.leadtime import LeadTimeRecord, LeadTimeSummary
 from repro.core.ras import ras_category_breakdown  # noqa: F401  (registers)
 from repro.core.rootcause import RootCauseInference
@@ -239,6 +239,7 @@ class HolisticDiagnosis:
             # step 3: job views
             self.jobs: dict[int, JobView] = parse_jobs(self.scheduler)
             self._node_traces = None
+            self._job_holders: Optional[JobHolders] = None
             # memo for compute(): single-analysis results shared across
             # calls
             self._analysis_cache: dict[str, object] = {}
@@ -314,6 +315,13 @@ class HolisticDiagnosis:
             self._node_traces = traces_by_node(
                 self.internal, stream=self.records.internal)
         return self._node_traces
+
+    @property
+    def job_holders(self) -> JobHolders:
+        """The job-holder table over :attr:`jobs` (built once)."""
+        if self._job_holders is None:
+            self._job_holders = JobHolders(self.jobs)
+        return self._job_holders
 
     def duration_days(self) -> int:
         """Span of the log set in whole days (>= 1).

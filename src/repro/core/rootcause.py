@@ -15,11 +15,10 @@ actually held the node or the trace leads with job-I/O modules.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro.core.external import (
     EXTERNAL_PRECURSOR_EVENTS,
@@ -27,7 +26,7 @@ from repro.core.external import (
     _blade_of,
 )
 from repro.core.failure_detection import DetectedFailure
-from repro.core.jobs import JobView
+from repro.core.jobs import JobHolders, JobView
 from repro.faults.model import FaultFamily
 from repro.logs.stacktraces import CallTrace
 from repro.simul.clock import HOUR
@@ -55,7 +54,11 @@ class RootCauseInference:
 
 
 class RootCauseEngine:
-    """Applies the inference rules over a diagnosed log set."""
+    """Applies the inference rules over a diagnosed log set.
+
+    ``holders`` is ``jobs``' holder table when the caller already built
+    it (see :class:`~repro.core.jobs.JobHolders`).
+    """
 
     def __init__(
         self,
@@ -63,37 +66,20 @@ class RootCauseEngine:
         node_traces: dict[str, list[CallTrace]],
         jobs: dict[int, JobView],
         precursor_window: float = 2 * HOUR,
+        holders: Optional[JobHolders] = None,
     ) -> None:
         self.index = index
         self.node_traces = node_traces
         self.jobs = jobs
         self.precursor_window = precursor_window
-        # node -> (start, end, job) spans of started jobs: _holding_job
-        # is called once per failure and jv.held_node_at would re-scan
-        # the job's (possibly huge) node list for membership each time
-        self._job_spans_by_node: dict[
-            str, list[tuple[float, float, JobView]]] = {}
-        for jv in jobs.values():
-            if jv.start_time is None:
-                continue
-            end = jv.end_time if jv.end_time is not None else float("inf")
-            for node in jv.nodes:
-                self._job_spans_by_node.setdefault(node, []).append(
-                    (jv.start_time, end, jv))
+        self.holders = holders if holders is not None else JobHolders(jobs)
 
     # ------------------------------------------------------------------
     def _holding_job(self, failure: DetectedFailure) -> Optional[JobView]:
         # grace past the job's end: a buggy job's later victims die after
         # the scheduler has already aborted it (same convention as
         # job_failure_correlation)
-        t = failure.time
-        holders = [
-            jv for start, end, jv in self._job_spans_by_node.get(failure.node, ())
-            if start <= t <= end + 900.0
-        ]
-        if not holders:
-            return None
-        return max(holders, key=lambda jv: jv.start_time or 0.0)
+        return self.holders.holder(failure.node, failure.time, 900.0)
 
     def _nearest_trace(self, failure: DetectedFailure) -> Optional[CallTrace]:
         best, best_gap = None, 1800.0
@@ -109,7 +95,7 @@ class RootCauseEngine:
         A bisect window over the index's cached per-blade precursor
         table -- semantically the scan over every external event this
         used to be, at a per-failure cost of one dict lookup and two
-        searchsorted calls.
+        bisects.
         """
         blade = _blade_of(failure.node)
         if blade is None:
@@ -118,9 +104,8 @@ class RootCauseEngine:
         if entry is None:
             return []
         times, events = entry
-        lo = int(np.searchsorted(
-            times, failure.time - self.precursor_window, side="left"))
-        hi = int(np.searchsorted(times, failure.time, side="left"))
+        lo = bisect_left(times, failure.time - self.precursor_window)
+        hi = bisect_left(times, failure.time, lo)
         return list(events[lo:hi])
 
     # ------------------------------------------------------------------
@@ -238,9 +223,9 @@ from repro.core.analysis import AnalysisSpec, register  # noqa: E402
 
 register(AnalysisSpec(
     name="root_causes",
-    inputs=("index", "node_traces", "jobs", "failures"),
-    compute=lambda index, traces, jobs, failures: RootCauseEngine(
-        index, traces, jobs).infer_all(failures),
+    inputs=("index", "node_traces", "jobs", "job_holders", "failures"),
+    compute=lambda index, traces, jobs, holders, failures: RootCauseEngine(
+        index, traces, jobs, holders=holders).infer_all(failures),
     neutral=list,
     doc="Obs. 9: per-failure root-cause inference (Table V)",
 ))

@@ -33,7 +33,14 @@ gate can vouch for it; it never falls back to a guess.
 Each dataclass gets a **plan**, computed once per class: its field
 names, the JSON-quoted ``"name":`` keys in sorted order, ``attrgetter``
 calls that fetch every value at once, and the ``omit_empty`` flags.
-Each enum member is encoded once.
+Each enum member is encoded once.  A dataclass shaped like
+:class:`~repro.logs.parsing.ParsedRecord` (the evidence records, most of
+a report's bytes) gets a **record plan** instead: a fixed sorted key
+order, its short repeated strings -- component, daemon, event, attrs
+keys and values -- quoted once per call through a quoted-string table
+kept in the memo, and cached enum texts; the body is quoted per record,
+and a value of any other type takes the generic path, so the bytes and
+the ``TypeError`` of an unencodable value are the generic encoder's.
 
 :func:`canonical_json` writes text directly: strings through the C
 ``json.encoder.encode_basestring_ascii``, floats through
@@ -314,9 +321,109 @@ def _set_tree(obj: Any) -> list:
     return sorted([to_jsonable(item) for item in obj], key=canonical_json)
 
 
+#: the fields of a :class:`~repro.logs.parsing.ParsedRecord`-shaped
+#: dataclass, which :func:`_record_text` encodes by a fixed plan
+_RECORD_FIELDS = ("attrs", "body", "component", "daemon", "event",
+                  "severity", "source", "time")
+#: memo keys of the per-call tables (never an ``id``): a string -> its
+#: quoted text, and an attrs dict's keys in insertion order -> its
+#: ``(key, '"key":')`` pairs in sorted order (None: a key is not a str)
+_QUOTED = "quoted"
+_SHAPES = "shapes"
+
+
+def _name_text(value: Any, quoted: dict, memo: dict) -> str:
+    """A short repeated string quoted once per call; others generically."""
+    if type(value) is str:
+        hit = quoted.get(value)
+        if hit is None:
+            hit = quoted[value] = _quote(value)
+        return hit
+    return _text(value, memo)
+
+
+def _attrs_text(attrs: dict, quoted: dict, shapes: dict, memo: dict) -> str:
+    """A record's attrs dict.  Its key set is sorted and quoted once per
+    call; str values go through ``quoted``; a dict with a key that is
+    not a str goes the generic way."""
+    shape = tuple(attrs)
+    keys = shapes.get(shape, False)
+    if keys is False:
+        keys = shapes[shape] = (
+            tuple((key, _quote(key) + ":") for key in sorted(shape))
+            if all(type(key) is str for key in shape) else None)
+    if keys is None:
+        return _dict_text(attrs, memo)
+    parts = []
+    for key, key_text in keys:
+        value = attrs[key]
+        if type(value) is str:
+            value_text = quoted.get(value)
+            if value_text is None:
+                value_text = quoted[value] = _quote(value)
+        else:
+            value_text = _text(value, memo)
+        parts.append(key_text + value_text)
+    return "{" + ",".join(parts) + "}"
+
+
+def _record_text(plan: _Plan) -> Callable[[Any, dict], str]:
+    """The text handler of a record-shaped dataclass.
+
+    The bytes are :func:`_dataclass_text`'s.  Component, daemon, event
+    and attrs keys and values are quoted once per call through the
+    memo's tables; each enum member's text is cached; the body is
+    quoted per record; a value of any other type takes the generic
+    :func:`_text`.
+    """
+    get = plan.get_sorted
+    #: the sorted keys with one %s slot each, filled in that order
+    template = "{" + ",".join(key + "%s" for key in plan.keys) + "}"
+    enum_texts: dict[int, tuple] = {}
+
+    def enum_text(member: Any, memo: dict) -> str:
+        # the member rides along so its id stays unique while cached
+        hit = enum_texts.get(id(member))
+        if hit is not None:
+            return hit[1]
+        encoded = _text(member, memo)
+        if isinstance(member, Enum):
+            enum_texts[id(member)] = (member, encoded)
+        return encoded
+
+    def text(obj: Any, memo: dict) -> str:
+        hit = memo.get(id(obj))
+        if hit is not None:
+            return hit[1]
+        quoted = memo.get(_QUOTED)
+        if quoted is None:
+            quoted = memo[_QUOTED] = {}
+            memo[_SHAPES] = {}
+        attrs, body, comp, daemon, event, sev, src, t = get(obj)
+        encoded = template % (
+            (_attrs_text(attrs, quoted, memo[_SHAPES], memo) if attrs
+             else "{}") if type(attrs) is dict else _text(attrs, memo),
+            _quote(body) if type(body) is str else _text(body, memo),
+            _name_text(comp, quoted, memo),
+            _name_text(daemon, quoted, memo),
+            "null" if event is None else _name_text(event, quoted, memo),
+            enum_text(sev, memo),
+            enum_text(src, memo),
+            _float_text(t) if type(t) is float else _text(t, memo),
+        )
+        # the instance rides along so its id stays unique for the call
+        memo[id(obj)] = (obj, encoded)
+        return encoded
+
+    return text
+
+
 def _dataclass_handlers(cls: type):
     plan = _Plan(cls)
-    return _dataclass_text(plan), _dataclass_tree(plan)
+    text = (_record_text(plan)
+            if plan.omit is None and tuple(sorted(plan.names)) == _RECORD_FIELDS
+            else _dataclass_text(plan))
+    return text, _dataclass_tree(plan)
 
 
 #: kind -> (text handler, tree handler), given the concrete type

@@ -33,10 +33,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.cluster.topology import NodeName, parse_component
-from repro.core.external import ExternalIndex
+from repro.core.external import ExternalIndex, _any_within
 from repro.core.failure_detection import DetectedFailure
 from repro.simul.clock import MINUTE
 
@@ -76,10 +74,8 @@ def exclude_intended(
         coordinated = False
         if clean:
             times = off_by_node.get(f.node)
-            if times is not None:
-                lo = np.searchsorted(times, f.time - window, side="left")
-                hi = np.searchsorted(times, f.time + window, side="right")
-                coordinated = hi > lo
+            coordinated = times is not None and _any_within(
+                times, f.time - window, f.time + window)
         (intended if clean and coordinated else anomalous).append(f)
     return anomalous, intended
 

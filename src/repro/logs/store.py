@@ -790,12 +790,20 @@ class LogStore:
         return _merge_records(lists)
 
     def line_counts(self) -> dict[str, int]:
-        """Lines per source (Table II style size census, both layouts)."""
+        """Lines per source (Table II style size census, both layouts).
+
+        Lines end at ``"\\n"`` only, the readers' rule (a lone
+        ``"\\r"`` is not a break), and a torn final line counts as one.
+        """
         counts: dict[str, int] = {}
         for source in _SOURCE_PATHS:
             total = 0
             for path in self.source_files(source):
+                last = "\n"
                 with open_log_text(path) as handle:
-                    total += sum(1 for _ in handle)
+                    while chunk := handle.read(1 << 20):
+                        total += chunk.count("\n")
+                        last = chunk[-1]
+                total += last != "\n"
             counts[source.value] = total
         return counts

@@ -1,15 +1,22 @@
 """Tests for error-population analysis and job-log analysis."""
 
+from collections import defaultdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import error_populations, mean_cpu_temperature
+from repro.core.external import ExternalIndex
 from repro.core.jobs import (
+    JobView,
     exit_census,
     job_failure_correlation,
     overallocation_report,
     parse_jobs,
     same_job_locality,
 )
+from repro.core.rootcause import RootCauseEngine
 from repro.simul.clock import DAY, HOUR
 
 from tests.core.helpers import console, erd, failure, sched
@@ -85,6 +92,12 @@ def job_records(job=1, nodes=(N0, N1), start=100.0, end=1000.0, code=0,
 
 
 class TestParseJobs:
+    def test_any_event_with_a_job_creates_the_job(self):
+        jobs = parse_jobs([sched(5.0, "slurm_epilog", job=4),
+                           sched(6.0, None, job=5)])
+        assert list(jobs) == [4]
+        assert jobs[4].start_time is None and jobs[4].nodes == []
+
     def test_lifecycle_reconstruction(self):
         jobs = parse_jobs(job_records())
         jv = jobs[1]
@@ -184,6 +197,90 @@ class TestCorrelation:
         groups = same_job_locality(
             jobs, [failure(500.0, N0), failure(7000.0, N1)], max_span=1800.0)
         assert groups == []
+
+
+# ---------------------------------------------------------------------------
+# the job-holder table against the brute-force rule it replaced
+# ---------------------------------------------------------------------------
+def brute_holder(jobs, node, t, grace):
+    """Every job that held ``node`` at ``t``, latest start winning; the
+    first in ``jobs`` order on equal starts (what ``max`` returns)."""
+    holders = [jv for jv in jobs.values()
+               if jv.held_node_at(node, t, grace=grace)]
+    if not holders:
+        return None
+    return max(holders, key=lambda jv: jv.start_time or 0.0)
+
+
+def brute_correlation(jobs, failures, grace):
+    out = defaultdict(list)
+    for f in failures:
+        holder = brute_holder(jobs, f.node, f.time, grace)
+        if holder is not None:
+            out[holder.job_id].append(f)
+    return dict(out)
+
+
+POOL = (N0, N1, N2)
+#: few distinct starts, so equal starts and overlapping spans are common
+starts = st.none() | st.sampled_from([0.0, -0.0, 100.0, 250.0, 1000.0])
+ends = st.none() | st.sampled_from([0.0, 50.0, 100.0, 300.0, 1000.0, 4000.0])
+
+
+@st.composite
+def job_sets(draw):
+    """Jobs in a shuffled id order: unstarted (no start), unfinished (no
+    end), ended before they started, and nodes listed twice."""
+    count = draw(st.integers(0, 8))
+    ids = draw(st.permutations(range(1, count + 1)))
+    jobs = {}
+    for job_id in ids:
+        jobs[job_id] = JobView(
+            job_id=job_id,
+            start_time=draw(starts),
+            end_time=draw(ends),
+            nodes=draw(st.lists(st.sampled_from(POOL), max_size=4)),
+            app="app",
+        )
+    return jobs
+
+
+@st.composite
+def failure_sets(draw, jobs, grace):
+    """Failures before, inside, at the grace edge of and after spans."""
+    edges = [-1.0, 0.0, 5000.0]
+    for jv in jobs.values():
+        for base in (jv.start_time, jv.end_time):
+            if base is not None:
+                edges += [base - 1.0, base, base + 1.0]
+        if jv.end_time is not None:
+            for edge in (jv.end_time + grace, jv.end_time + 900.0):
+                edges += [edge - 0.5, edge, edge + 0.5]
+    times = st.sampled_from(edges) | st.floats(-100.0, 6000.0)
+    return [failure(draw(times), draw(st.sampled_from(POOL)))
+            for _ in range(draw(st.integers(0, 12)))]
+
+
+class TestHolderTable:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_correlation_matches_brute_force(self, data):
+        jobs = data.draw(job_sets())
+        grace = data.draw(st.sampled_from([0.0, 60.0, 900.0]))
+        failures = data.draw(failure_sets(jobs, grace))
+        got = job_failure_correlation(jobs, failures, grace=grace)
+        assert list(got.items()) == list(
+            brute_correlation(jobs, failures, grace).items())
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_root_cause_holder_matches_brute_force(self, data):
+        jobs = data.draw(job_sets())
+        failures = data.draw(failure_sets(jobs, 900.0))
+        engine = RootCauseEngine(ExternalIndex(), {}, jobs)
+        for f in failures:
+            assert engine._holding_job(f) is brute_holder(
+                jobs, f.node, f.time, 900.0)
 
 
 class TestOverallocation:

@@ -24,7 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.serialize as serialize
 from repro.core.serialize import canonical_json, report_digest, to_jsonable
+from repro.logs.parsing import ParsedRecord
+from repro.logs.record import LogSource, Severity
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +160,28 @@ keys = st.one_of(text, st.booleans(), st.none(), ints, floats,
 points = st.builds(Point, y=floats, x=st.integers(-5, 5), tag=text)
 
 
+#: one attrs dict many records hold, as chatter records share theirs
+SHARED_ATTRS = {"node": "c0-0c0s0n0", "é": "日本\x00"}
+#: evidence records: the encoder's record plan, with every value type
+#: the plan hands to the generic path (non-str attrs values and keys,
+#: non-float times, a non-str body)
+records = st.builds(
+    ParsedRecord,
+    time=st.one_of(floats, floats, ints, numpy_scalars),
+    source=st.sampled_from(list(LogSource)),
+    component=text,
+    daemon=text,
+    event=st.none() | text,
+    attrs=st.one_of(
+        st.just({}), st.just(SHARED_ATTRS),
+        st.dictionaries(text, text, max_size=4),
+        st.dictionaries(text, text | leaves, max_size=4),
+        st.dictionaries(keys, leaves, max_size=3)),
+    severity=st.sampled_from(list(Severity)),
+    body=text | text | leaves,
+)
+
+
 def _aliased(value: Any) -> list:
     shared = Node(zeta=value, extra={"k": value})
     return [shared, {"again": shared}, (shared,)]
@@ -177,6 +202,8 @@ def _containers(children):
         st.just(Empty()),
         points,
         children.map(_aliased),
+        st.lists(records, max_size=3),
+        records.map(lambda record: [record, {"again": record}]),
     )
 
 
@@ -214,6 +241,12 @@ class TestAgainstOracle:
         np.array([[1.0, float("nan")], [float("-inf"), -0.0]]),
         np.array(["x", "yz"]), np.array([], dtype=float),
         Node(zeta=1), Node(zeta=1, extra={"x": 0}), Single(Empty()),
+        ParsedRecord(float("nan"), LogSource.ERD, "c0-0c0s0", "erd", None,
+                     {}, Severity.FATAL, "é\x00\x1f 😀 \"q\""),
+        ParsedRecord(float("-inf"), LogSource.CONSOLE, "c0-0c0s0n0",
+                     "kernel", "mce", {"b": 1, "a": None, "c": [2.5]}),
+        ParsedRecord(float("inf"), LogSource.SCHEDULER, "sdb", "slurm",
+                     "slurm_start", {True: "x", "true": "y"}),
     ], ids=repr)
     def test_edge_cases(self, value):
         assert canonical_json(value) == oracle_json(value)
@@ -228,6 +261,10 @@ class TestUnencodable:
         object(), np.bool_(True), Node, Colour, b"bytes", 1j,
         [1, object()], {"k": np.bool_(False)}, Node(zeta=object()),
         {object(): 1}, {(1, 2): "tuple key"}, {Colour.BLUE: 1},
+        ParsedRecord(1.0, LogSource.ERD, "c", "d", "e", {"k": object()}),
+        ParsedRecord(1.0, LogSource.ERD, "c", "d", "e", body=b"bytes"),
+        ParsedRecord(1.0, LogSource.ERD, "c", "d", "e", {object(): "v"}),
+        ParsedRecord(1j, LogSource.ERD, "c", "d", "e"),
         # an overwritten value is still encoded, so still refused
         {1: object(), "1": 2},
     ], ids=repr)
@@ -247,6 +284,26 @@ class TestAliasing:
         one = canonical_json(shared)
         assert text == '{"a":%s,"b":[%s]}' % (one, one)
         assert text == oracle_json({"a": shared, "b": [shared]})
+
+    def test_shared_record_is_encoded_once(self, monkeypatch):
+        """The record plan keeps the identity memo: a record reached
+        twice has its body quoted once, and its text spliced twice."""
+        record = ParsedRecord(5.0, LogSource.CONSOLE, "c0-0c0s0n0", "kernel",
+                              "mce", SHARED_ATTRS, Severity.ERROR,
+                              "a unique body")
+        quoted = []
+        quote = serialize._quote
+
+        def counting(value):
+            quoted.append(value)
+            return quote(value)
+
+        monkeypatch.setattr(serialize, "_quote", counting)
+        text = canonical_json([record, {"again": record}])
+        one = canonical_json(record)
+        assert text == '[%s,{"again":%s}]' % (one, one)
+        assert text == oracle_json([record, {"again": record}])
+        assert quoted.count("a unique body") == 2  # once per call
 
     def test_to_jsonable_has_no_shared_subtrees(self):
         shared = Node(zeta="shared", children=[[1]], extra={"k": [2]})

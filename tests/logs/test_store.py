@@ -1,10 +1,12 @@
 """Tests for the on-disk log store."""
 
+import shutil
 from heapq import merge
 from operator import attrgetter
 
 import pytest
 
+from repro.logs.health import IngestionHealth
 from repro.logs.parsing import ParsedRecord
 from repro.logs.record import LogBus, LogRecord, LogSource
 from repro.logs.store import LogStore, StoreManifest, _merge_records
@@ -91,6 +93,23 @@ class TestWriteRead:
         counts = store.line_counts()
         assert counts["console"] == 1
         assert counts["consumer"] == 0
+
+    def test_line_counts_break_at_newline_only(self, tmp_path):
+        """A lone "\\r" is no line break, for the census as for the
+        readers: both count the lines a batch read sees."""
+        bus = LogBus()
+        for t in range(10):
+            bus.emit(LogRecord(float(t), LogSource.CONSOLE, "c0-0c0s0n0",
+                               "mce", {"bank": 1, "status": "ff"}))
+        LogStore(tmp_path / "logs").write(bus, SimClock(), "TT", 1, 10.0)
+        copy = LogStore(shutil.copytree(tmp_path / "logs", tmp_path / "copy"))
+        path = copy.path_for(LogSource.CONSOLE)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r", 3))
+        health = IngestionHealth()
+        list(copy.read_source(LogSource.CONSOLE, health=health))
+        read = health.source(LogSource.CONSOLE).read
+        assert read == 7
+        assert copy.line_counts()["console"] == read
 
     def test_rewrite_replaces(self, tmp_path):
         store = LogStore(tmp_path / "logs")
