@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.core.external import (
     EXTERNAL_PRECURSOR_EVENTS,
@@ -39,9 +39,6 @@ from repro.core.index import failure_times_by_node
 from repro.core.leadtime import INTERNAL_INDICATIVE, indicative_times_by_node
 from repro.logs.parsing import ParsedRecord
 from repro.simul.clock import HOUR
-
-if TYPE_CHECKING:
-    from repro.core.index import StreamIndex
 
 __all__ = ["AlarmEpisode", "FprComparison", "build_episodes", "compare_fpr"]
 
@@ -84,10 +81,17 @@ class FprComparison:
 def build_episodes(
     internal: Iterable[ParsedRecord],
     episode_gap: float = 1800.0,
-    stream: Optional["StreamIndex"] = None,
+    indicative_times: Optional[dict[str, list[float]]] = None,
 ) -> list[AlarmEpisode]:
-    """Cluster indicative internal events into per-node episodes."""
-    by_node = indicative_times_by_node(internal, stream)
+    """Cluster indicative internal events into per-node episodes.
+
+    ``indicative_times`` is
+    :func:`~repro.core.leadtime.indicative_times_by_node`'s grouping
+    when the caller already holds it; otherwise it is built from
+    ``internal``.
+    """
+    by_node = (indicative_times if indicative_times is not None
+               else indicative_times_by_node(internal))
     episodes: list[AlarmEpisode] = []
     for node, times in by_node.items():
         start = times[0]
@@ -111,11 +115,12 @@ def compare_fpr(
     horizon: float = HOUR,
     correlation_window: float = HOUR,
     episode_gap: float = 1800.0,
-    stream: Optional["StreamIndex"] = None,
     fail_times: Optional[dict[str, list[float]]] = None,
+    indicative_times: Optional[dict[str, list[float]]] = None,
 ) -> FprComparison:
     """Score the internal-only and correlated detectors on one log set."""
-    episodes = build_episodes(internal, episode_gap=episode_gap, stream=stream)
+    episodes = build_episodes(internal, episode_gap=episode_gap,
+                              indicative_times=indicative_times)
 
     fail_by_node = (fail_times if fail_times is not None
                     else failure_times_by_node(failures))
@@ -160,10 +165,11 @@ from repro.core.analysis import AnalysisSpec, register  # noqa: E402
 
 register(AnalysisSpec(
     name="false_positives",
-    inputs=("internal", "failures", "index", "records", "failure_times"),
-    compute=lambda internal, failures, index, records, fail_times: compare_fpr(
-        internal, failures, index, stream=records.internal,
-        fail_times=fail_times),
+    inputs=("internal", "failures", "index", "failure_times",
+            "indicative_times"),
+    compute=lambda internal, failures, index, fail_times, times: compare_fpr(
+        internal, failures, index, fail_times=fail_times,
+        indicative_times=times),
     neutral=lambda: compare_fpr([], [], ExternalIndex()),
     doc="Obs. 6: internal-only vs externally-correlated FPR (Fig. 14)",
 ))

@@ -110,8 +110,10 @@ def indicative_times_by_node(
     """Node -> sorted times of fault-indicative internal events.
 
     The grouping both the lead-time and false-positive analyses start
-    from.  With a ``stream`` index, only the indicative-event buckets
-    are touched instead of the full internal list.
+    from; a pipeline builds it once for both
+    (:attr:`~repro.core.pipeline.HolisticDiagnosis.indicative_times`).
+    With a ``stream`` index, only the indicative-event buckets are
+    touched instead of the full internal list.
     """
     source = (stream.select(INTERNAL_INDICATIVE) if stream is not None
               else internal)
@@ -134,10 +136,16 @@ def compute_lead_times(
     index: ExternalIndex,
     precursor_window: float = 2 * HOUR,
     internal_lookback: float = HOUR,
-    stream: Optional["StreamIndex"] = None,
+    indicative_times: Optional[dict[str, list[float]]] = None,
 ) -> list[LeadTimeRecord]:
-    """Per-failure internal and external lead times."""
-    indicative_by_node = indicative_times_by_node(internal, stream)
+    """Per-failure internal and external lead times.
+
+    ``indicative_times`` is :func:`indicative_times_by_node`'s grouping
+    when the caller already holds it; otherwise it is built from
+    ``internal``.
+    """
+    indicative_by_node = (indicative_times if indicative_times is not None
+                          else indicative_times_by_node(internal))
     by_node, by_blade = index.precursor_candidates
 
     out: list[LeadTimeRecord] = []
@@ -214,9 +222,9 @@ from repro.core.analysis import AnalysisSpec, register  # noqa: E402
 register(AnalysisSpec(
     name="lead_times",
     field="lead_time_records",
-    inputs=("failures", "internal", "index", "records"),
-    compute=lambda failures, internal, index, records: compute_lead_times(
-        failures, internal, index, stream=records.internal),
+    inputs=("failures", "internal", "index", "indicative_times"),
+    compute=lambda failures, internal, index, times: compute_lead_times(
+        failures, internal, index, indicative_times=times),
     neutral=list,
     doc="Obs. 5: per-failure internal/external lead times (Fig. 13)",
 ))

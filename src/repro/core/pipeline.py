@@ -44,7 +44,11 @@ from repro.core.falsepos import FprComparison
 from repro.core.gcpause import paused_gc
 from repro.core.index import RecordIndex, failure_times_by_node
 from repro.core.jobs import JobHolders, JobView, parse_jobs
-from repro.core.leadtime import LeadTimeRecord, LeadTimeSummary
+from repro.core.leadtime import (
+    LeadTimeRecord,
+    LeadTimeSummary,
+    indicative_times_by_node,
+)
 from repro.core.ras import ras_category_breakdown  # noqa: F401  (registers)
 from repro.core.rootcause import RootCauseInference
 from repro.core.spatial import SwoEvent, detect_swos, exclude_intended
@@ -240,6 +244,7 @@ class HolisticDiagnosis:
             self.jobs: dict[int, JobView] = parse_jobs(self.scheduler)
             self._node_traces = None
             self._job_holders: Optional[JobHolders] = None
+            self._indicative_times: Optional[dict[str, list[float]]] = None
             # memo for compute(): single-analysis results shared across
             # calls
             self._analysis_cache: dict[str, object] = {}
@@ -322,6 +327,17 @@ class HolisticDiagnosis:
         if self._job_holders is None:
             self._job_holders = JobHolders(self.jobs)
         return self._job_holders
+
+    @property
+    def indicative_times(self) -> dict[str, list[float]]:
+        """Node -> sorted fault-indicative internal times (built once).
+
+        Shared by ``lead_times`` and ``false_positives``.
+        """
+        if self._indicative_times is None:
+            self._indicative_times = indicative_times_by_node(
+                self.internal, self.records.internal)
+        return self._indicative_times
 
     def duration_days(self) -> int:
         """Span of the log set in whole days (>= 1).

@@ -73,15 +73,17 @@ Wire format and self-healing
 The payload holds the records as eight flat columns, one per
 :class:`~repro.logs.parsing.ParsedRecord` field (:func:`_pack_records`),
 pickled with protocol 5 -- entries are local artifacts written and read
-only by this package.  Within one entry, equal component, daemon and
-attrs key/value strings are one object (a table local to each pack
-call), so the pickle memo writes each distinct string once and a hit
-decodes and frees it once; a delta shares within its own new records,
-so a string appears once per full parse plus at most once per delta
-since.  Sharing changes neither the column types nor ``CACHE_FORMAT``:
-entries written without it load the same way, just larger, until they
-are rewritten or ``repro cache clear`` runs.  The payload is published
-through the atomic checksummed blob writer in
+only by this package.  A miss or delta parses through a per-file
+:class:`~repro.logs.parsing.LineTable`, so its records arrive shared:
+equal component, daemon and attrs key/value strings are one object, and
+records with equal line tails hold one attrs dict and one body.  The
+pickle memo then writes each of them once and a hit decodes and frees it
+once (the hit's records share them too); a delta shares within its own
+new records, so a string appears once per full parse plus at most once
+per delta since.  Sharing changes neither the column types nor
+``CACHE_FORMAT``: entries written without it load the same way, just
+larger, until they are rewritten or ``repro cache clear`` runs.  The
+payload is published through the atomic checksummed blob writer in
 :mod:`repro.core.artifacts`.  A rotted entry (truncation, bit flips,
 foreign bytes, undecodable payload) fails its checksum at load, is
 silently evicted, and the file is re-parsed and re-written -- exactly
@@ -631,32 +633,30 @@ _RecordColumns = tuple[list, list, list, list, list, list, list, list]
 
 
 def _pack_records(records: list[ParsedRecord]) -> _RecordColumns:
-    """The entry's columnar record format, with equal strings shared.
+    """The entry's columnar record format: one flat list per field.
 
     Pickling eight flat lists costs far less than one reduce call per
     record: the pickler memoises the shared enum singletons and the
     empty-attrs sentinel once per column instead of once per record.
 
-    The pickle memo works by object identity, and the parser makes a
-    fresh string per line, so equal components, daemons and attrs keys
-    and values are first folded onto their first occurrence through one
-    table local to this call.  Each distinct string is then written,
-    checksummed and (on a hit) decoded once per entry.  The attrs
-    columns hold new dicts of the shared strings (an empty one is kept
-    as is), never a dict shared between records.  The table dies with
-    the call: no process holds a growing intern table.  A delta packs
-    only its new records, so a string appears once per full parse (or
-    re-sort) plus at most once per delta appended since.
+    The pickle memo works by object identity, and the records arrive
+    shared: the cache parses through a
+    :class:`~repro.logs.parsing.LineTable`, so equal components,
+    daemons and attrs keys and values are one object per parse, and
+    records with equal line tails hold one attrs dict and one body.
+    Each is then written, checksummed and (on a hit) decoded once per
+    entry, and the records of a hit share them as the parse's did.  A
+    delta parses only its new lines, so a string appears once per full
+    parse plus at most once per delta appended since (a re-sort after
+    backward jitter keeps both copies).
     """
-    share = {}.setdefault
     return (
         [r.time for r in records],
         [r.source for r in records],
-        [share(r.component, r.component) for r in records],
-        [share(r.daemon, r.daemon) for r in records],
+        [r.component for r in records],
+        [r.daemon for r in records],
         [r.event for r in records],
-        [{share(k, k): share(v, v) for k, v in r.attrs.items()}
-         if r.attrs else r.attrs for r in records],
+        [r.attrs for r in records],
         [r.severity for r in records],
         [r.body for r in records],
     )

@@ -26,6 +26,7 @@ tests.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -1005,10 +1006,11 @@ class DaemonDispatcher:
             spec_index = {index[f"e{i}"]: i for i in positions}
             # attribute extraction tables: names and combined group
             # numbers, separated so all values come out of one C-level
-            # ``match.group(*numbers)`` call
+            # ``match.group(*numbers)`` call; the names are interned, so
+            # an attrs key is one object whichever spec produced it
             groups = {
                 i: (
-                    tuple(self.specs[i].pattern.groupindex),
+                    tuple(map(sys.intern, self.specs[i].pattern.groupindex)),
                     tuple(index[f"g{i}_{name}"]
                           for name in self.specs[i].pattern.groupindex),
                 )

@@ -28,6 +28,7 @@ __all__ = [
     "ParsedRecord",
     "ParseOutcome",
     "LineParser",
+    "LineTable",
     "parse_line",
     "parse_lines",
     "DEFAULT_MAX_SKEW",
@@ -54,8 +55,11 @@ class ParsedRecord:
     Slotted and built with a plain (non-frozen) ``__init__`` because
     millions are allocated per ingestion pass; ``unsafe_hash`` keeps the
     field-based hash the previously frozen class had.  Records are
-    value objects by convention: never mutate one after construction --
-    chatter records share a single empty ``attrs`` dict.
+    value objects by convention: never mutate one or its ``attrs`` after
+    construction -- chatter records share a single empty ``attrs`` dict,
+    and records parsed through one :class:`LineTable` share the attrs
+    dict and body of every equal line tail (so do the records of one
+    cache entry after a hit, through the pickle memo).
     """
 
     time: float
@@ -122,6 +126,9 @@ class ParseOutcome(NamedTuple):
 _BLANK = ParseOutcome(None, "blank")
 _MALFORMED = ParseOutcome(None, "malformed")
 
+#: line-table value of a tail with no ``": "`` (the line is malformed)
+_NO_TAIL = ()
+
 #: shared attrs sentinel for chatter records -- most production lines are
 #: unrecognised chatter, so skipping the per-line dict allocation matters
 _EMPTY_ATTRS: dict[str, str] = {}
@@ -130,6 +137,40 @@ _EMPTY_ATTRS: dict[str, str] = {}
 #: digits only so exotic stamps keep the exact strptime semantics
 _STAMP_HEAD = re.compile(
     r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}$")
+
+
+class LineTable:
+    """What one file's parse has already classified, shared from the parse on.
+
+    Log files repeat whole messages: over the generated stores a third
+    of all lines repeat a ``daemon: body`` tail seen earlier in the same
+    file (console 51-61 %, controller 68-72 %, ERD 35-76 %, scheduler
+    ~1 %).  :meth:`LineParser.parse_ex` given a table classifies each
+    distinct tail once:
+
+    * ``tails`` maps a tail (the line after its component) to its
+      ``(source, daemon, event, attrs, severity, body)``, or to
+      ``_NO_TAIL`` when it has no ``": "``; a repeated tail skips the
+      ``": "`` partition, the dispatcher lookup and the regex match, and
+      its record reuses the table's attrs dict and body;
+    * ``share`` folds equal component, daemon and attrs key and value
+      strings onto their first occurrence, so each is one object (keys
+      too: a key can equal a component or daemon, as ``mc`` does in the
+      ``bgq-ras`` stores).
+
+    Stamps, skew repair and the mojibake scan stay per line.  A table
+    lives for one file's parse and dies with it: no process holds a
+    growing table.  Only the parse cache's parses take one (their
+    records are pickled, where sharing shrinks the entry); an uncached
+    read of a file with few repeated tails would pay the bookkeeping
+    for nothing.
+    """
+
+    __slots__ = ("tails", "share")
+
+    def __init__(self) -> None:
+        self.tails: dict[str, tuple] = {}
+        self.share = {}.setdefault
 
 
 class LineParser:
@@ -164,8 +205,11 @@ class LineParser:
         self._daemon_sources = self.catalog.daemon_sources
         self._default_source = self.catalog.default_source
         self._last_time: Optional[float] = None
-        #: whole-second stamp prefix -> integer microseconds since epoch
-        self._prefix_us: dict[str, int] = {}
+        #: the last whole-second stamp prefix and its integer
+        #: microseconds since epoch (one entry: only consecutive lines
+        #: share a second, and a long-lived parser must not grow)
+        self._prefix: Optional[str] = None
+        self._prefix_us = 0
 
     def reset(self, last_time: Optional[float] = None) -> None:
         """Forget skew state (call at each file boundary).
@@ -180,23 +224,26 @@ class LineParser:
     def _stamp_seconds(self, stamp: str) -> float:
         """Simulation seconds for a stamp (raises ValueError when torn).
 
-        Consecutive log lines overwhelmingly share their whole-second
-        prefix, so the prefix's microseconds-since-epoch is memoised and
-        only the fractional part is parsed per line.  All arithmetic is
-        integer microseconds divided once at the end -- the exact formula
-        ``timedelta.total_seconds`` uses -- so results are bit-identical
-        to the ``parse_syslog``/``to_seconds`` slow path, which remains
-        the fallback for every stamp shape the fast path cannot prove.
+        Consecutive log lines often share their whole-second prefix, so
+        the last prefix's microseconds-since-epoch is kept and only the
+        fractional part is parsed for a line in the same second.  All
+        arithmetic is integer microseconds divided once at the end -- the
+        exact formula ``timedelta.total_seconds`` uses -- so results are
+        bit-identical to the ``parse_syslog``/``to_seconds`` slow path,
+        which remains the fallback for every stamp shape the fast path
+        cannot prove.
         """
         head = stamp[:19]
-        us = self._prefix_us.get(head)
-        if us is None:
+        if head == self._prefix:
+            us = self._prefix_us
+        else:
             if _STAMP_HEAD.match(head) is None:
                 return self.clock.to_seconds(parse_syslog(stamp))
             delta = datetime.fromisoformat(head) - self.clock._epoch_naive
             us = (delta.days * 86400 + delta.seconds) * 1_000_000 \
                 + delta.microseconds
-            self._prefix_us[head] = us
+            self._prefix = head
+            self._prefix_us = us
         rest = stamp[19:]
         if not rest:
             return us / 1_000_000
@@ -237,7 +284,12 @@ class LineParser:
             time, self._daemon_sources.get(daemon, self._default_source),
             component, daemon, None, _EMPTY_ATTRS, Severity.INFO, body)
 
-    def parse_ex(self, line: str, scan_mojibake: bool = True) -> ParseOutcome:
+    def parse_ex(
+        self,
+        line: str,
+        scan_mojibake: bool = True,
+        table: Optional[LineTable] = None,
+    ) -> ParseOutcome:
         """Hardened parse: classify and, where possible, repair a line.
 
         Repairs (all counted as ``recovered``):
@@ -254,6 +306,10 @@ class LineParser:
         ``scan_mojibake=False`` skips the per-line replacement-character
         scan; the file reader passes it when one whole-file scan already
         proved the file clean (the overwhelmingly common case).
+
+        ``table`` classifies the line's tail through a :class:`LineTable`
+        (once per distinct tail of the file); the outcome equals the
+        tableless one, only with strings, attrs and body shared.
         """
         # a trailing "\r" is the rest of a CRLF ending, not the body
         line = line.rstrip("\r\n")
@@ -264,9 +320,17 @@ class LineParser:
         if len(parts) < 3:
             return _MALFORMED
         stamp, component, rest = parts
-        daemon, sep, body = rest.partition(": ")
-        if not sep:
-            return _MALFORMED
+        if table is None:
+            daemon, sep, body = rest.partition(": ")
+            if not sep:
+                return _MALFORMED
+            tail = None
+        else:
+            tail = table.tails.get(rest)
+            if tail is None:
+                tail = table.tails[rest] = self._classify(rest, table.share)
+            if tail is _NO_TAIL:
+                return _MALFORMED
         recovered = scan_mojibake and _REPLACEMENT in line
         last = self._last_time
         try:
@@ -281,6 +345,12 @@ class LineParser:
         elif time < last - self.max_skew:
             time = last
             recovered = True
+        if tail is not None:
+            source, daemon, event, attrs, severity, body = tail
+            record = ParsedRecord(time, source,
+                                  table.share(component, component),
+                                  daemon, event, attrs, severity, body)
+            return ParseOutcome(record, "parsed", recovered)
         # classify as in parse()
         dispatcher = self._dispatchers.get(daemon)
         if dispatcher is not None:
@@ -294,6 +364,25 @@ class LineParser:
             time, self._daemon_sources.get(daemon, self._default_source),
             component, daemon, None, _EMPTY_ATTRS, Severity.INFO, body)
         return ParseOutcome(record, "parsed", recovered)
+
+    def _classify(self, rest: str, share) -> tuple:
+        """One line tail's :class:`LineTable` value (see there)."""
+        daemon, sep, body = rest.partition(": ")
+        if not sep:
+            return _NO_TAIL
+        daemon = share(daemon, daemon)
+        dispatcher = self._dispatchers.get(daemon)
+        if dispatcher is not None:
+            hit = dispatcher.match(body)
+            if hit is not None:
+                spec, attrs = hit
+                if attrs:
+                    attrs = {share(k, k): share(v, v)
+                             for k, v in attrs.items()}
+                return (spec.source, daemon, spec.key, attrs,
+                        spec.severity, body)
+        return (self._daemon_sources.get(daemon, self._default_source),
+                daemon, None, _EMPTY_ATTRS, Severity.INFO, body)
 
     def parse_many(self, lines: Iterable[str]) -> Iterator[ParsedRecord]:
         """Parse an iterable of lines, skipping unparseable ones."""

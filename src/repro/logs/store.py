@@ -39,7 +39,12 @@ from repro.logs.catalogs import (
     resolve_catalog,
 )
 from repro.logs.health import ErrorPolicy, IngestionError, IngestionHealth, SourceHealth
-from repro.logs.parsing import REPLACEMENT_CHAR, LineParser, ParsedRecord
+from repro.logs.parsing import (
+    REPLACEMENT_CHAR,
+    LineParser,
+    LineTable,
+    ParsedRecord,
+)
 from repro.logs.record import LogBus, LogRecord, LogSource
 from repro.logs.render import render_line
 from repro.obs import OBS
@@ -257,15 +262,18 @@ def _traced_parse(
     one ``logs.parse_file`` span carrying the file name plus line/byte
     accounting (and a ``cache`` tag, ``"miss"`` or ``"delta"``, for a
     parse cache's parse), and the ``ingest.*`` counters advance by the
-    canonical accounting.  ``resume_at`` is :func:`_parse_log_text`'s.
+    canonical accounting.  ``resume_at`` is :func:`_parse_log_text`'s;
+    a parse cache's parse (``cache_tag`` set) takes a line table.
     """
+    line_table = cache_tag is not None
     if not OBS.enabled:
-        return _parse_log_text(text, parser, retried, resume_at)
+        return _parse_log_text(text, parser, retried, resume_at, line_table)
     tags = {"file": path.name}
     if cache_tag is not None:
         tags["cache"] = cache_tag
     with OBS.span("logs.parse_file", "ingest", **tags) as span:
-        result = _parse_log_text(text, parser, retried, resume_at)
+        result = _parse_log_text(text, parser, retried, resume_at,
+                                 line_table)
         health = result[1]
         span.add(records=health.parsed, read=health.read,
                  quarantined=health.quarantined, recovered=health.recovered)
@@ -334,6 +342,7 @@ def _parse_log_text(
     parser: LineParser,
     retried: int = 0,
     resume_at: Optional[float] = None,
+    line_table: bool = False,
 ) -> tuple[list[ParsedRecord], SourceHealth, list[str]]:
     """Parse one file's already-loaded text (the pure half of the parse).
 
@@ -358,6 +367,11 @@ def _parse_log_text(
     ``str.splitlines`` knows (``"\\r"``, ``"\\x0c"``, ``"\\x85"``,
     ...): the tailer splits raw bytes the same way, so a batch read and
     a watch of one file see the same lines.
+
+    ``line_table`` parses through one :class:`~repro.logs.parsing.LineTable`
+    for the whole text: each distinct line tail is classified once and
+    equal tails share their record's attrs and body.  The result equals
+    the tableless parse field by field.
     """
     records: list[ParsedRecord] = []
     malformed: list[str] = []
@@ -380,11 +394,12 @@ def _parse_log_text(
             partial_tail = 1
         text = text[:cut]
     scan = REPLACEMENT_CHAR in text
+    table = LineTable() if line_table else None
     lines = text.split("\n")
     lines.pop()  # the empty remainder after the final "\n"
     for line in lines:
         read += 1
-        record, status, repaired = parse_ex(line, scan)
+        record, status, repaired = parse_ex(line, scan, table)
         if record is not None:
             parsed += 1
             recovered += repaired

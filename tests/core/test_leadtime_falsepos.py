@@ -170,3 +170,54 @@ class TestFprComparison:
         assert cmp.episodes == 0
         assert cmp.internal_fpr == 0.0
         assert cmp.correlated_fpr == 0.0
+
+
+class TestSharedIndicativeTimes:
+    """One pipeline groups the indicative internal times once for both
+    analyses that start from them."""
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list[int]:
+        """Count every indicative-times build from here on."""
+        import repro.core.falsepos as falsepos_mod
+        import repro.core.leadtime as leadtime_mod
+        import repro.core.pipeline as pipeline_mod
+
+        calls: list[int] = []
+        real = leadtime_mod.indicative_times_by_node
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (leadtime_mod, falsepos_mod, pipeline_mod):
+            monkeypatch.setattr(module, "indicative_times_by_node", counting)
+        return calls
+
+    def test_one_build_per_run(self, diagnosed_scenario, monkeypatch):
+        from repro.core.pipeline import HolisticDiagnosis
+
+        _, _, store = diagnosed_scenario
+        diagnosis = HolisticDiagnosis.from_store(store)
+        calls = self.count_builds(monkeypatch)
+        report = diagnosis.run()
+        assert len(calls) == 1
+        assert report.lead_time_records
+        assert report.false_positives.episodes > 0
+        # a second run reuses the pipeline's grouping
+        diagnosis.run()
+        assert len(calls) == 1
+
+    def test_shared_grouping_equals_standalone_calls(self,
+                                                     diagnosed_scenario):
+        from repro.core.pipeline import HolisticDiagnosis
+
+        _, _, store = diagnosed_scenario
+        diagnosis = HolisticDiagnosis.from_store(store)
+        report = diagnosis.run(only=["lead_times", "false_positives"])
+        internal, failures = diagnosis.internal, diagnosis.failures
+        index = diagnosis.index
+        assert report.lead_time_records == compute_lead_times(
+            failures, internal, index)
+        assert report.false_positives == compare_fpr(
+            internal, failures, index)

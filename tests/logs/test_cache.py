@@ -684,9 +684,22 @@ def most_copies(strings) -> int:
     return max(Counter(objects.values()).values(), default=0)
 
 
+def copied(value):
+    """A fresh copy of a string, or of an attrs dict and its strings."""
+    if isinstance(value, str):
+        return value.encode().decode()
+    if isinstance(value, dict) and value:
+        return {copied(k): copied(v) for k, v in value.items()}
+    return value
+
+
 def unshared_pack(records):
-    """The entry columns as packed before equal strings were shared."""
-    return tuple([getattr(r, name) for r in records]
+    """The entry columns as packed before equal strings were shared.
+
+    The records arrive shared from the parse, so every string and
+    non-empty attrs dict is copied per record.
+    """
+    return tuple([copied(getattr(r, name)) for r in records]
                  for name in ParsedRecord.__dataclass_fields__)
 
 

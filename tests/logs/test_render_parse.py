@@ -138,3 +138,34 @@ class TestParseLine:
             assert parsed.event == event
             assert parsed.attr_int("job") == job
             assert parsed.attr_int("code") == code
+
+
+class TestStampMemo:
+    """The parser keeps one whole-second prefix, not one per second seen."""
+
+    def test_many_seconds_retain_constant_memory(self):
+        import tracemalloc
+
+        lines = [f"{CLOCK.stamp(float(s))} c0-0c0s0n0 kernel: tick"
+                 for s in range(20_000)]
+        parser = LineParser(CLOCK)
+        parser.parse_ex(lines[0])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for line in lines:
+                parser.parse_ex(line)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a memo entry per second would hold ~140 bytes each (~2.8 MB)
+        assert retained < 64 * 1024
+
+    def test_returning_to_an_earlier_second_is_exact(self):
+        from repro.simul.clock import parse_syslog
+
+        parser = LineParser(CLOCK)
+        for t in (0.5, 0.75, 1.25, 0.9, 0.0, 86400.5, 0.1):
+            stamp = CLOCK.stamp(t)
+            record = parser.parse(f"{stamp} c0-0c0s0n0 kernel: x")
+            assert record.time == CLOCK.to_seconds(parse_syslog(stamp))
