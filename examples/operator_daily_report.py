@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro import api
 from repro.core.report import generate_findings, render_findings
-from repro.core.rootcause import RootCauseEngine, family_split
+from repro.core.rootcause import family_split
 from repro.experiments.scenarios import materialize
 
 
@@ -25,8 +25,7 @@ def main() -> None:
     cache = Path(tempfile.mkdtemp(prefix="repro-operator-"))
     store = materialize("cases", seed=7, root=cache)
     diag = api.load_system(store.root)
-    engine = RootCauseEngine(diag.index, diag.node_traces, diag.jobs)
-    inferences = engine.infer_all(diag.failures)
+    inferences = diag.compute("root_causes")
 
     print("=" * 72)
     print("NODE FAILURE CASE REPORT")

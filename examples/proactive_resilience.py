@@ -28,7 +28,6 @@ from repro.core.pipeline import HolisticDiagnosis
 from repro.core.checkpointing import CheckpointAdvisor
 from repro.core.health import MitigationAdvisor
 from repro.core.prediction import OnlinePredictor, PredictorConfig, evaluate
-from repro.core.rootcause import RootCauseEngine
 from repro.experiments.render import bar_chart
 
 DAYS = 30
@@ -88,8 +87,7 @@ def main() -> None:
           f"saves {plan.waste_reduction:.0%})")
 
     # 3. root-cause-aware mitigation instead of blanket quarantine
-    engine = RootCauseEngine(diag.index, diag.node_traces, diag.jobs)
-    inferences = engine.infer_all(diag.failures)
+    inferences = diag.compute("root_causes")
     advisor = MitigationAdvisor()
     census = advisor.action_census(advisor.advise(inferences))
     print("\n== mitigation actions (Table VI) ==")

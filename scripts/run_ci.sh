@@ -44,9 +44,12 @@
 #      committed goldens together are the byte contract; then, by name,
 #      the record plan's identity memo (a record reached twice is
 #      encoded once, tests/core/test_serialize.py::TestAliasing::
-#      test_shared_record_is_encoded_once) and the job-holder table
+#      test_shared_record_is_encoded_once), the job-holder table
 #      against the brute-force holder rule it replaced
-#      (tests/core/test_errors_jobs.py::TestHolderTable)
+#      (tests/core/test_errors_jobs.py::TestHolderTable) and the
+#      pipeline's derived tables, each built once, on first read, under
+#      its own span, and not at all when no selected analysis reads it
+#      (tests/core/test_pipeline.py::TestDerivedTables)
 #   5. parse-cache warm-run smoke: focused re-run of the delta-only
 #      ingest properties of LogStore reads (a warm read parses zero
 #      files, a changed dir parses only the delta;
@@ -117,7 +120,8 @@ python -m pytest tests/core/test_serialize.py -q
 python -m pytest tests/core/test_parity_gate.py -m parity -q
 python -m pytest \
     tests/core/test_serialize.py::TestAliasing::test_shared_record_is_encoded_once \
-    tests/core/test_errors_jobs.py::TestHolderTable -q
+    tests/core/test_errors_jobs.py::TestHolderTable \
+    tests/core/test_pipeline.py::TestDerivedTables -q
 
 echo "== parse-cache warm-run smoke (zero files re-parsed) =="
 # part of tier-1 too; the focused re-run isolates the cache property

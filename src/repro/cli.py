@@ -35,7 +35,6 @@ from repro.core.gcpause import paused_gc
 from repro.core.health import MitigationAdvisor
 from repro.core.prediction import OnlinePredictor, PredictorConfig, evaluate
 from repro.core.report import generate_findings, render_findings
-from repro.core.rootcause import RootCauseEngine
 from repro.experiments.render import bar_chart
 from repro.experiments.scenarios import SCENARIOS, materialize
 from repro.logs.catalogs import catalog_names
@@ -456,8 +455,7 @@ def _diagnose_batch(args: argparse.Namespace,
               f"{lost['node_failure_core_hours']:.0f} "
               f"({lost['node_failure_fraction']:.1%} of accounted time)")
     if args.cases:
-        engine = RootCauseEngine(diag.index, diag.node_traces, diag.jobs)
-        inferences = engine.infer_all(diag.failures)
+        inferences = diag.compute("root_causes")
         advisor = MitigationAdvisor()
         for inf, mit in zip(inferences, advisor.advise(inferences)):
             print(f"\n{inf.failure.node} [{inf.family.value}/{inf.cause}] "

@@ -20,10 +20,11 @@ A spec is self-describing:
     ``analysis_errors`` on the report.
 ``inputs``
     Names of attributes resolved from the *analysis context* (the
-    :class:`~repro.core.pipeline.HolisticDiagnosis` instance, or any
-    object with the same attributes) and passed positionally to
-    ``compute``.  A bound zero-argument method (e.g. ``duration_days``)
-    is called; anything else is passed as-is.
+    :class:`~repro.core.pipeline.HolisticDiagnosis` instance, whose
+    tables are built on first read, or any object with the same
+    attributes) before any analysis runs, outside its error capture,
+    and passed positionally to ``compute``.  A bound zero-argument
+    method (e.g. ``duration_days``) is called; the rest pass as-is.
 ``depends_on``
     Names of previously registered analyses whose *results* are passed
     to ``compute`` after the context inputs (e.g. ``dominance_summary``
@@ -286,19 +287,21 @@ def execute(
         errors = {}
     selected = (set(registry.names()) if only is None
                 else set(registry.closure(only)))
-    skipped_set = set(skipped)
-    excluded_set = set(exclude)
+    excluded = set(exclude)
+    selected -= set(skipped) | excluded
+    inputs = {name: resolve_input(ctx, name) for spec in registry
+              if spec.name in selected for name in spec.inputs}
     results: dict[str, Any] = {}
     for spec in registry:
-        if spec.name in excluded_set:
+        if spec.name in excluded:
             continue
-        if spec.name not in selected or spec.name in skipped_set:
+        if spec.name not in selected:
             results[spec.name] = spec.neutral()
             continue
         started = time.perf_counter() if profile is not None else 0.0
         with OBS.span("analysis." + spec.name, "analysis") as span:
             try:
-                args = [resolve_input(ctx, name) for name in spec.inputs]
+                args = [inputs[name] for name in spec.inputs]
                 args.extend(results[dep] for dep in spec.depends_on)
                 results[spec.name] = spec.compute(*args)
             except Exception as exc:  # capture, degrade, carry on

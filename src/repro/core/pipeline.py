@@ -9,11 +9,11 @@
 ``run()`` is a thin driver over the declarative analysis registry
 (:mod:`repro.core.analysis`): every per-question analysis is a
 registered :class:`~repro.core.analysis.AnalysisSpec` whose inputs are
-resolved from this pipeline object, and the report is assembled by
-field name.  ``run(only=...)`` executes a registry subset (plus its
-dependencies); :meth:`HolisticDiagnosis.compute` runs a single named
-analysis unguarded for callers that want exactly one answer (the
-per-figure benches do this).  :meth:`HolisticDiagnosis.run_windowed`
+this pipeline's tables, each built on first read, and the report is
+assembled by field name.  ``run(only=...)`` runs a registry subset
+(plus its dependencies) and builds only the tables it reads;
+:meth:`HolisticDiagnosis.compute` runs one named analysis unguarded
+(the per-figure benches do this).  :meth:`HolisticDiagnosis.run_windowed`
 is the incremental driver: it slides a day-granular window over the
 shared :class:`~repro.core.index.StreamIndex` and yields one
 :class:`DiagnosisReport` per window.
@@ -31,6 +31,7 @@ readers saw.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -185,8 +186,22 @@ class DiagnosisWindow:
         return self.end_day - self.start_day
 
 
+def _table(span: str, **tags):
+    """A derived table: built once, on first read, in a collector pause
+    under its own ``span``; ``tags`` map a tag name to a function of it."""
+    def table(build):
+        @functools.wraps(build)
+        def built(self):
+            with paused_gc(), OBS.span(span, "pipeline") as record:
+                value = build(self)
+                record.tag(**{name: fn(value) for name, fn in tags.items()})
+            return value
+        return functools.cached_property(built)
+    return table
+
+
 class HolisticDiagnosis:
-    """The pipeline, bound to one set of parsed logs."""
+    """The pipeline over one log set; derived tables build on first read."""
 
     def __init__(
         self,
@@ -214,43 +229,8 @@ class HolisticDiagnosis:
             for source in ingestion_health.missing_sources():
                 if source not in self.missing_sources:
                     self.missing_sources.append(source)
-        # bulk allocation of index, detection and job objects: no cyclic
-        # collection until the pipeline is built (see core/gcpause.py)
-        with paused_gc(), OBS.span("pipeline.build", "pipeline") as span:
-            # the shared record index: every stream bucketed once,
-            # queried by all downstream analyses
-            self.records: RecordIndex = RecordIndex.build(
-                self.internal, self.external, self.scheduler)
-            # step 2 (built first -- step 1's accounting needs the
-            # power-off notifications): external index
-            self.index: ExternalIndex = ExternalIndex.from_stream(
-                self.records.external)
-            # step 1: confirmed failures from internal logs, with the
-            # paper's accounting -- intended shutdowns excluded, SWOs
-            # set aside
-            candidates = self.detector.detect(
-                self.internal, by_node=self.records.internal.by_node)
-            anomalous, self.intended_shutdowns = exclude_intended(
-                candidates, self.index)
-            if total_nodes is not None:
-                self.swos, self.failures = detect_swos(anomalous, total_nodes)
-            else:
-                self.swos, self.failures = [], anomalous
-            # derived failure groupings shared across analyses
-            self.failure_times: dict = failure_times_by_node(self.failures)
-            self.failures_by_day: dict[int, list[DetectedFailure]] = (
-                FailureDetector.failures_by_day(self.failures))
-            # step 3: job views
-            self.jobs: dict[int, JobView] = parse_jobs(self.scheduler)
-            self._node_traces = None
-            self._job_holders: Optional[JobHolders] = None
-            self._indicative_times: Optional[dict[str, list[float]]] = None
-            # memo for compute(): single-analysis results shared across
-            # calls
-            self._analysis_cache: dict[str, object] = {}
-            span.tag(records=len(self.internal) + len(self.external)
-                     + len(self.scheduler),
-                     failures=len(self.failures))
+        # memo for compute(): single-analysis results shared across calls
+        self._analysis_cache: dict[str, object] = {}
 
     @classmethod
     def from_store(
@@ -296,9 +276,8 @@ class HolisticDiagnosis:
             except KeyError:
                 pass
         kwargs.setdefault("platform", store.catalog.name)
-        # ingest (cache decode or parse, k-way merges) and the build run
-        # in one collector pause: a gap between them would let the next
-        # collection walk every freshly ingested record
+        # ingest in one collector pause: the collection the ingested
+        # records are owed falls after this call, not inside it
         with paused_gc():
             with OBS.span("pipeline.ingest", "ingest", policy=policy.value):
                 internal = store.read_internal(clock, policy, health)
@@ -312,32 +291,60 @@ class HolisticDiagnosis:
                 **kwargs,
             )
 
-    # ------------------------------------------------------------------
-    @property
+    # -- derived tables (_table) --------------------------------------
+    @_table("core.index", records=lambda built: len(built.internal)
+            + len(built.external) + len(built.scheduler))
+    def records(self) -> RecordIndex:
+        """Every stream bucketed once, queried by the tables below."""
+        return RecordIndex.build(self.internal, self.external, self.scheduler)
+
+    @_table("core.detect")
+    def candidates(self) -> list[DetectedFailure]:
+        """Step 1: failure candidates from the internal logs."""
+        return self.detector.detect(
+            self.internal, by_node=self.records.internal.by_node)
+
+    @_table("core.external")
+    def index(self) -> ExternalIndex:
+        """Step 2: the external index (step 1's accounting reads it)."""
+        return ExternalIndex.from_stream(self.records.external)
+
+    @_table("core.accounting", failures=lambda split: len(split[2]))
+    def accounting(self) -> tuple:
+        """Step 1's ``(intended_shutdowns, swos, failures)``."""
+        anomalous, intended = exclude_intended(self.candidates, self.index)
+        if self.total_nodes is None:
+            return intended, [], anomalous
+        return (intended, *detect_swos(anomalous, self.total_nodes))
+
+    intended_shutdowns = property(lambda self: self.accounting[0])
+    swos = property(lambda self: self.accounting[1])
+    failures = property(lambda self: self.accounting[2])
+
+    @_table("core.failure_times")
+    def failure_times(self) -> dict:
+        return failure_times_by_node(self.failures)
+
+    @_table("core.failures_by_day")
+    def failures_by_day(self) -> dict[int, list[DetectedFailure]]:
+        return FailureDetector.failures_by_day(self.failures)
+
+    @_table("core.jobs")
+    def jobs(self) -> dict[int, JobView]:
+        """Step 3: the job views."""
+        return parse_jobs(self.scheduler)
+
+    @_table("core.node_traces")
     def node_traces(self):
-        """Regrouped call traces per node (computed once)."""
-        if self._node_traces is None:
-            self._node_traces = traces_by_node(
-                self.internal, stream=self.records.internal)
-        return self._node_traces
+        return traces_by_node(self.internal, stream=self.records.internal)
 
-    @property
+    @_table("core.job_holders")
     def job_holders(self) -> JobHolders:
-        """The job-holder table over :attr:`jobs` (built once)."""
-        if self._job_holders is None:
-            self._job_holders = JobHolders(self.jobs)
-        return self._job_holders
+        return JobHolders(self.jobs)
 
-    @property
+    @_table("core.indicative_times")
     def indicative_times(self) -> dict[str, list[float]]:
-        """Node -> sorted fault-indicative internal times (built once).
-
-        Shared by ``lead_times`` and ``false_positives``.
-        """
-        if self._indicative_times is None:
-            self._indicative_times = indicative_times_by_node(
-                self.internal, self.records.internal)
-        return self._indicative_times
+        return indicative_times_by_node(self.internal, self.records.internal)
 
     def duration_days(self) -> int:
         """Span of the log set in whole days (>= 1).
@@ -359,14 +366,6 @@ class HolisticDiagnosis:
         :func:`degradation_for` (shared with the streaming daemon).
         """
         return degradation_for(self.missing_sources, self.ingestion_health)
-
-    def skipped_analyses(self) -> list[str]:
-        """Analyses the degradation contract skips for missing streams."""
-        return self.degradation()[0]
-
-    def degradation_reasons(self) -> list[str]:
-        """Human-readable reasons the report will be marked degraded."""
-        return self.degradation()[1]
 
     def skip_reasons(self) -> dict[str, str]:
         """Per-analysis explanation of why it cannot run (if it cannot).

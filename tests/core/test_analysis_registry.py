@@ -8,8 +8,8 @@ parity sweep (that lives in ``test_parity_gate.py``):
 * registration order is a valid execution order (dependencies first);
 * neutral factories are *lazy*: never invoked on the success path,
   invoked exactly for the skipped analyses when a source is missing;
-* ``skipped_analyses()`` / ``degradation_reasons()`` both derive from
-  the single ``degradation()`` registry query and agree with the legacy
+* the skipped analyses and degradation reasons both derive from the
+  single ``degradation()`` registry query and agree with the legacy
   per-source algorithm;
 * ``run(only=...)`` executes the dependency closure and nothing else.
 """
@@ -211,8 +211,6 @@ class TestDegradationContract:
         skipped, reasons = diag.degradation()
         assert skipped == expected_skipped
         assert reasons == expected_reasons
-        assert diag.skipped_analyses() == expected_skipped
-        assert diag.degradation_reasons() == expected_reasons
 
     def test_duplicate_reasons_are_deduped_first_seen(self, diag):
         diag_missing = HolisticDiagnosis(

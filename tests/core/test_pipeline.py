@@ -121,7 +121,127 @@ class TestConstruction:
         assert len(a.failures) == len(b.failures)
         assert len(a.internal) == len(b.internal)
 
-    def test_node_traces_cached(self, diagnosed_scenario):
+
+#: derived table -> (owner, builder name) of the call that builds it,
+#: every owner reached by its name in ``repro.core.pipeline``
+TABLE_BUILDERS = {
+    "records": ("RecordIndex", "build"),
+    "index": ("ExternalIndex", "from_stream"),
+    "candidates": ("FailureDetector", "detect"),
+    "accounting": (None, "exclude_intended"),
+    "failure_times": (None, "failure_times_by_node"),
+    "failures_by_day": ("FailureDetector", "failures_by_day"),
+    "jobs": (None, "parse_jobs"),
+    "node_traces": (None, "traces_by_node"),
+    "job_holders": (None, "JobHolders"),
+    "indicative_times": (None, "indicative_times_by_node"),
+}
+
+
+class TestDerivedTables:
+    """Each derived table is built once, on first read, under its own
+    span, and only when something reads it."""
+
+    @staticmethod
+    def spy(monkeypatch) -> dict[str, int]:
+        """Count every builder call from here on, per table."""
+        import repro.core.pipeline as pipeline_mod
+
+        calls = dict.fromkeys(TABLE_BUILDERS, 0)
+        for table, (owner_name, attr) in TABLE_BUILDERS.items():
+            owner = (pipeline_mod if owner_name is None
+                     else getattr(pipeline_mod, owner_name))
+            raw = owner.__dict__[attr]
+            real = raw.__func__ if isinstance(
+                raw, (classmethod, staticmethod)) else raw
+
+            def counting(*args, _table=table, _real=real, **kwargs):
+                calls[_table] += 1
+                return _real(*args, **kwargs)
+
+            if isinstance(raw, (classmethod, staticmethod)):
+                counting = type(raw)(counting)
+            monkeypatch.setattr(owner, attr, counting)
+        return calls
+
+    def test_from_store_builds_nothing(self, diagnosed_scenario,
+                                       monkeypatch):
+        _, _, store = diagnosed_scenario
+        calls = self.spy(monkeypatch)
+        HolisticDiagnosis.from_store(store)
+        assert set(calls.values()) == {0}
+
+    def test_each_table_built_once(self, diagnosed_scenario, monkeypatch):
+        _, _, store = diagnosed_scenario
+        calls = self.spy(monkeypatch)
+        diag = HolisticDiagnosis.from_store(store)
+        first = diag.run()
+        assert calls == dict.fromkeys(TABLE_BUILDERS, 1)
+        second = diag.run()
+        assert calls == dict.fromkeys(TABLE_BUILDERS, 1)
+        assert second.failures is first.failures
+        assert diag.node_traces is diag.node_traces
+
+    def test_only_builds_what_it_reads(self, diagnosed_scenario,
+                                       monkeypatch):
+        _, _, store = diagnosed_scenario
+        calls = self.spy(monkeypatch)
+        diag = HolisticDiagnosis.from_store(store)
+        report = diag.run(only=["weekly_inter_failure"])
+        assert report.weekly_inter_failure
+        for table in ("jobs", "node_traces", "job_holders",
+                      "indicative_times", "failure_times",
+                      "failures_by_day"):
+            assert calls[table] == 0, table
+        for table in ("records", "index", "candidates", "accounting"):
+            assert calls[table] == 1, table
+
+    def test_one_span_per_table_under_run(self, diagnosed_scenario):
+        from repro.obs import chrome_trace, session, validate_chrome_trace
+
+        _, _, store = diagnosed_scenario
+        with session() as obs:
+            diag = HolisticDiagnosis.from_store(store)
+            diag.run()
+            diag.run()
+            spans = obs.spans()
+        by_id = {span.span_id: span for span in spans}
+        (run, _) = [span for span in spans if span.name == "pipeline.run"]
+
+        def under_run(span) -> bool:
+            while span.parent_id is not None:
+                span = by_id[span.parent_id]
+                if span is run:
+                    return True
+            return False
+
+        names = [span.name for span in spans]
+        tables = {"core.index", "core.external", "core.detect",
+                  "core.accounting", "core.jobs", "core.failure_times",
+                  "core.failures_by_day", "core.node_traces",
+                  "core.job_holders", "core.indicative_times"}
+        for name in tables:
+            (span,) = [s for s in spans if s.name == name]
+            assert span.category == "pipeline"
+            assert under_run(span), name
+        assert not {n for n in names if n.startswith("core.")} - tables
+        (index,) = [s for s in spans if s.name == "core.index"]
+        assert index.tags["records"] == (
+            len(diag.internal) + len(diag.external) + len(diag.scheduler))
+        (accounting,) = [s for s in spans if s.name == "core.accounting"]
+        assert accounting.tags["failures"] == len(diag.failures)
+        assert validate_chrome_trace(chrome_trace(spans)) == []
+
+    def test_builder_error_propagates_from_run(self, diagnosed_scenario,
+                                               monkeypatch):
+        import repro.core.pipeline as pipeline_mod
+
         _, _, store = diagnosed_scenario
         diag = HolisticDiagnosis.from_store(store)
-        assert diag.node_traces is diag.node_traces
+
+        def broken(scheduler):
+            raise RuntimeError("job table unavailable")
+
+        monkeypatch.setattr(pipeline_mod, "parse_jobs", broken)
+        with pytest.raises(RuntimeError, match="job table unavailable"):
+            diag.run()

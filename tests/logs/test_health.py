@@ -164,7 +164,7 @@ class TestUnreadableSegment:
             assert health.conserved, conservation_violations(health)
             erd = health.source(LogSource.ERD)
             assert (erd.files, erd.retried_files) == (2, 1)
-            assert health.degraded and note in diag.degradation_reasons()
+            assert health.degraded and note in diag.degradation()[1]
 
 
 class TestHealthModel:

@@ -71,10 +71,19 @@ class TestCommands:
         assert "failure categories" in out
 
     def test_diagnose_findings_and_cases(self, logdir, capsys):
+        import re
+
+        from repro import api
+
         assert main(["diagnose", str(logdir), "--findings", "--cases"]) == 0
         out = capsys.readouterr().out
         assert "inference:" in out
         assert "Recommendation:" in out or "no findings" in out
+        headers = re.findall(r"^(\S+) \[(\w+)/(.+?)\] -> ", out, re.M)
+        report = api.load_system(logdir).run()
+        assert headers == [(inf.failure.node, inf.family.value, inf.cause)
+                           for inf in report.root_causes]
+        assert headers
 
     def test_predict(self, logdir, capsys):
         assert main(["predict", str(logdir)]) == 0
