@@ -59,12 +59,18 @@
 #      and torn tails; tests/logs/test_cache.py::TestAppendDelta) and of
 #      the entry's shared strings (one object per distinct string in a
 #      fresh entry, while unshared and delta-written entries still load;
-#      tests/logs/test_cache.py::TestSharedStrings) and the line-table
-#      oracle they rest on (a parse through the per-file line table
-#      equals the tableless parse, records with equal tails share one
-#      attrs dict and body; tests/logs/test_line_table.py), plus the
-#      entry-validation regressions (tests/logs/test_cache.py) and the
-#      collector-pause contract (tests/core/test_gc_pause.py)
+#      tests/logs/test_cache.py::TestSharedStrings) and the differential
+#      oracle they rest on (the columnar file parse, cut into 3-line
+#      blocks, equals the per-line parse_ex loop field by field, stamps
+#      by their bits; records with equal tails share one attrs dict and
+#      body; tests/logs/test_line_table.py), the pipeline's table memo
+#      (two pipelines build one table at once:
+#      tests/core/test_pipeline.py::TestDerivedTables::
+#      test_pipelines_build_one_table_concurrently) and run()'s results
+#      shared with compute() (tests/core/test_pipeline.py::
+#      TestAnalysisMemo), plus the entry-validation regressions
+#      (tests/logs/test_cache.py) and the collector-pause contract
+#      (tests/core/test_gc_pause.py)
 #   6. BG/Q dialect smoke: the bgq-ras platform catalog end-to-end
 #      (scenario -> store -> cached ingest -> report) plus dialect
 #      sniffing and per-catalog cache isolation
@@ -129,12 +135,15 @@ echo "== parse-cache warm-run smoke (zero files re-parsed) =="
 # file from cache (no parses) and a changed directory must parse only
 # the delta, and an appended file must parse only its new lines; an
 # entry holds each distinct string once, and entries written without
-# that sharing still hit; the cache's line-table parse equals the
-# tableless one
+# that sharing, or packed from records, still hit; the columnar parse
+# equals the per-line one; two pipelines build one table without
+# waiting for each other, and compute() after run() reuses its results
 python -m pytest tests/logs/test_cache.py::TestDeltaOnlyIngest \
     tests/logs/test_cache.py::TestAppendDelta \
     tests/logs/test_cache.py::TestSharedStrings \
-    tests/logs/test_line_table.py -q
+    tests/logs/test_line_table.py \
+    tests/core/test_pipeline.py::TestDerivedTables::test_pipelines_build_one_table_concurrently \
+    tests/core/test_pipeline.py::TestAnalysisMemo -q
 # every reader judges an entry alike (lookup self-heals what stats and
 # verify call invalid), and the warm path runs without collector passes
 # (the GC pause around ingest, build and analyses; its restore contract)

@@ -31,7 +31,6 @@ readers saw.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -186,18 +185,40 @@ class DiagnosisWindow:
         return self.end_day - self.start_day
 
 
+class _Table:
+    """A derived table: built once per pipeline, on first read, in a
+    collector pause under its own ``span``; ``tags`` map a tag name to a
+    function of it.
+
+    A non-data descriptor that leaves the built table in the instance
+    ``__dict__``, which then shadows it.  Unlike
+    ``functools.cached_property`` on Python < 3.12 it holds no lock, so
+    threads building the same table for different pipelines (``serve``
+    executor threads over different stores) never wait for each other.
+    """
+
+    def __init__(self, build, span: str, tags: dict) -> None:
+        self.build = build
+        self.span = span
+        self.tags = tags
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        with paused_gc(), OBS.span(self.span, "pipeline") as record:
+            value = self.build(instance)
+            record.tag(**{name: fn(value) for name, fn in self.tags.items()})
+        instance.__dict__[self.name] = value
+        return value
+
+
 def _table(span: str, **tags):
-    """A derived table: built once, on first read, in a collector pause
-    under its own ``span``; ``tags`` map a tag name to a function of it."""
-    def table(build):
-        @functools.wraps(build)
-        def built(self):
-            with paused_gc(), OBS.span(span, "pipeline") as record:
-                value = build(self)
-                record.tag(**{name: fn(value) for name, fn in tags.items()})
-            return value
-        return functools.cached_property(built)
-    return table
+    """Decorate a builder method as a derived table (see :class:`_Table`)."""
+    return lambda build: _Table(build, span, tags)
 
 
 class HolisticDiagnosis:
@@ -401,6 +422,20 @@ class HolisticDiagnosis:
         cache[name] = value = spec.compute(*args)
         return value
 
+    def _memoize(self, results: dict[str, object], ran: set[str]) -> None:
+        """Share ``run()``'s real results with :meth:`compute`.
+
+        An analysis enters the memo only when it ran, succeeded and
+        every dependency did too: a neutral result (deselected, skipped,
+        excluded or failed), or one computed from a neutral dependency,
+        is not what :meth:`compute` would return.
+        """
+        cache = self._analysis_cache
+        for spec in REGISTRY:  # registration order: dependencies first
+            if spec.name in ran and all(dep in cache
+                                        for dep in spec.depends_on):
+                cache.setdefault(spec.name, results[spec.name])
+
     # ------------------------------------------------------------------
     def run(
         self,
@@ -453,8 +488,9 @@ class HolisticDiagnosis:
             errors: dict[str, str] = {}
             results = execute(self, skipped=skipped, exclude=excluded,
                               errors=errors, only=only, profile=profile)
-            span.add(analyses=len(set(selected) - set(skipped)
-                                  - set(excluded)))
+            ran = set(selected) - set(skipped) - set(excluded)
+            span.add(analyses=len(ran))
+            self._memoize(results, ran - set(errors))
             # universal analyses claim dedicated report fields;
             # platform-scoped ones land in the platform_analyses mapping
             # (and excluded ones vanish entirely -- not a degradation)

@@ -70,17 +70,22 @@ policy byte-for-byte.
 
 Wire format and self-healing
 ----------------------------
-The payload holds the records as eight flat columns, one per
-:class:`~repro.logs.parsing.ParsedRecord` field (:func:`_pack_records`),
-pickled with protocol 5 -- entries are local artifacts written and read
-only by this package.  A miss or delta parses through a per-file
-:class:`~repro.logs.parsing.LineTable`, so its records arrive shared:
-equal component, daemon and attrs key/value strings are one object, and
-records with equal line tails hold one attrs dict and one body.  The
-pickle memo then writes each of them once and a hit decodes and frees it
-once (the hit's records share them too); a delta shares within its own
-new records, so a string appears once per full parse plus at most once
-per delta since.  Sharing changes neither the column types nor
+The payload holds the records as eight flat lists, one per
+:class:`~repro.logs.parsing.ParsedRecord` field, pickled with protocol
+5 -- entries are local artifacts written and read only by this package.
+They are the columns the parse returns
+(:func:`repro.logs.store._parse_log_text`), stored as they come: a miss
+stores its parse's columns, a delta the stored columns with the new
+ones appended (reordered by one stable permutation when a new record is
+earlier than the stored last one), and a hit builds its records from
+them with one ``map``, the call the uncached read makes.  The parse
+classifies each distinct line tail of a file once, so equal component,
+daemon and attrs key/value strings are one object, and records with
+equal line tails hold one attrs dict and one body.  The pickle memo
+then writes each of them once and a hit decodes and frees it once (the
+hit's records share them too); a delta shares within its own new
+records, so a string appears once per full parse plus at most once per
+delta since.  Sharing changes neither the column types nor
 ``CACHE_FORMAT``: entries written without it load the same way, just
 larger, until they are rewritten or ``repro cache clear`` runs.  The
 payload is published through the atomic checksummed blob writer in
@@ -122,7 +127,7 @@ from repro.core.artifacts import (
     write_checksummed_blob,
 )
 from repro.logs.health import ErrorPolicy, SourceHealth
-from repro.logs.parsing import LineParser, ParsedRecord
+from repro.logs.parsing import LineParser, ParsedRecord, build_records
 from repro.obs import OBS
 
 __all__ = [
@@ -295,7 +300,8 @@ class ParseCache:
         # imported here: store.py deliberately does not import this
         # module at top level (it passes the cache through by duck
         # typing), so the two stay import-cycle free
-        from repro.logs.store import _TIME_KEY, _load_log_text, _traced_parse
+        from repro.logs.store import (_load_log_text, _time_sorted,
+                                      _traced_parse)
 
         text, retried = _load_log_text(path)
         env = self._env_fingerprint(parser)
@@ -322,9 +328,8 @@ class ParseCache:
         if resumable and prefixes[0] == record.prefix:
             base = self._load_entry(self.entry_path(record.key, env), path)
         if base is None:
-            records, health, malformed = _traced_parse(
+            columns, health, malformed = _traced_parse(
                 text, parser, path, retried, cache_tag="miss")
-            columns = _pack_records(records)
         else:
             self.deltas += 1
             _tally("cache.delta")
@@ -333,15 +338,11 @@ class ParseCache:
             new, delta_health, new_malformed = _traced_parse(
                 text[record.length:], parser, path, retried, resume_at,
                 cache_tag="delta")
-            records = _unpack_records(stored) + new
-            if new and resume_at is not None and new[0].time < resume_at:
+            columns = tuple(old + added for old, added in zip(stored, new))
+            if new[0] and resume_at is not None and new[0][0] < resume_at:
                 # backward jitter across the boundary: the one stable
                 # sort a full parse would have run over the same lines
-                records.sort(key=_TIME_KEY)
-                columns = _pack_records(records)
-            else:
-                columns = tuple(old + added for old, added
-                                in zip(stored, _pack_records(new)))
+                columns = _time_sorted(columns)
             health = _joined_health(base["health"], delta_health)
             malformed = base["malformed"] + new_malformed
         entry = {
@@ -355,7 +356,7 @@ class ParseCache:
         if base is not None:
             # the grown file's previous version is superseded
             _unlink(self.entry_path(record.key, env))
-        return self._adapt(entry, policy, path, records=records)
+        return self._adapt(entry, policy, path)
 
     def lookup(
         self,
@@ -455,20 +456,19 @@ class ParseCache:
         entry: dict,
         policy: ErrorPolicy,
         path: Path,
-        records: Optional[list[ParsedRecord]] = None,
     ) -> tuple[list[ParsedRecord], SourceHealth, list[str]]:
-        """Unpack the canonical entry and apply the requested policy.
+        """Build the canonical entry's records and apply the policy.
 
-        ``records`` are the entry's records when the caller already
-        holds them (a miss or delta just built them); the policy step is
+        The records come from the entry's columns through
+        :func:`~repro.logs.parsing.build_records`, the call an uncached
+        read makes; the policy step is
         :func:`repro.logs.store.apply_policy`, the one every batch read
         takes.
         """
         from repro.logs.store import apply_policy
 
-        if records is None:
-            records = _unpack_records(entry["columns"])
-        return apply_policy(records, SourceHealth(**entry["health"]),
+        return apply_policy(build_records(entry["columns"]),
+                            SourceHealth(**entry["health"]),
                             entry["malformed"], policy, path)
 
     # ------------------------------------------------------------------
@@ -626,44 +626,3 @@ def _canonical_health_dict(health: SourceHealth) -> dict[str, int]:
     counts = health.as_dict()
     counts["retried_files"] = 0
     return counts
-
-
-#: eight flat columns, one per :class:`ParsedRecord` field
-_RecordColumns = tuple[list, list, list, list, list, list, list, list]
-
-
-def _pack_records(records: list[ParsedRecord]) -> _RecordColumns:
-    """The entry's columnar record format: one flat list per field.
-
-    Pickling eight flat lists costs far less than one reduce call per
-    record: the pickler memoises the shared enum singletons and the
-    empty-attrs sentinel once per column instead of once per record.
-
-    The pickle memo works by object identity, and the records arrive
-    shared: the cache parses through a
-    :class:`~repro.logs.parsing.LineTable`, so equal components,
-    daemons and attrs keys and values are one object per parse, and
-    records with equal line tails hold one attrs dict and one body.
-    Each is then written, checksummed and (on a hit) decoded once per
-    entry, and the records of a hit share them as the parse's did.  A
-    delta parses only its new lines, so a string appears once per full
-    parse plus at most once per delta appended since (a re-sort after
-    backward jitter keeps both copies).
-    """
-    return (
-        [r.time for r in records],
-        [r.source for r in records],
-        [r.component for r in records],
-        [r.daemon for r in records],
-        [r.event for r in records],
-        [r.attrs for r in records],
-        [r.severity for r in records],
-        [r.body for r in records],
-    )
-
-
-def _unpack_records(columns: _RecordColumns) -> list[ParsedRecord]:
-    """Rebuild records from stored columns (single C-level ``map``)."""
-    if not columns[0]:
-        return []
-    return list(map(ParsedRecord, *columns))

@@ -1038,8 +1038,14 @@ class DaemonDispatcher:
         }
         self._miss = combine(bare)
 
-    def match(self, body: str) -> tuple[EventSpec, dict[str, str]] | None:
-        """(spec, attrs) for the winning pattern, or None for chatter."""
+    def match(self, body: str,
+              share=None) -> tuple[EventSpec, dict[str, str]] | None:
+        """(spec, attrs) for the winning pattern, or None for chatter.
+
+        ``share`` (a ``dict.setdefault``) folds each attrs key and value
+        onto the one object equal strings already map to, as the
+        attrs dict is built.
+        """
         buckets = self._buckets
         if buckets is None:
             entry = self._all
@@ -1055,15 +1061,19 @@ class DaemonDispatcher:
         names, numbers = groups[i]
         if len(numbers) > 1:
             values = m.group(*numbers)
-            if None in values:  # optional group that did not participate
-                attrs = {n: v for n, v in zip(names, values) if v is not None}
-            else:
-                attrs = dict(zip(names, values))
         elif numbers:
-            value = m.group(numbers[0])
-            attrs = {} if value is None else {names[0]: value}
+            values = (m.group(numbers[0]),)
         else:
-            attrs = {}
+            return self.specs[i], {}
+        if None in values:  # optional group that did not participate
+            attrs = {n: v for n, v in zip(names, values) if v is not None}
+            if share is not None:
+                attrs = {share(n, n): share(v, v) for n, v in attrs.items()}
+        elif share is None:
+            attrs = dict(zip(names, values))
+        else:
+            attrs = dict(zip(map(share, names, names),
+                             map(share, values, values)))
         return self.specs[i], attrs
 
 

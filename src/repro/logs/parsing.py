@@ -17,7 +17,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from repro.logs.catalog import CRAY_XC
 from repro.logs.catalogs import PlatformCatalog, resolve_catalog
@@ -28,7 +30,8 @@ __all__ = [
     "ParsedRecord",
     "ParseOutcome",
     "LineParser",
-    "LineTable",
+    "RecordColumns",
+    "build_records",
     "parse_line",
     "parse_lines",
     "DEFAULT_MAX_SKEW",
@@ -57,9 +60,9 @@ class ParsedRecord:
     field-based hash the previously frozen class had.  Records are
     value objects by convention: never mutate one or its ``attrs`` after
     construction -- chatter records share a single empty ``attrs`` dict,
-    and records parsed through one :class:`LineTable` share the attrs
-    dict and body of every equal line tail (so do the records of one
-    cache entry after a hit, through the pickle memo).
+    and the records of one file's columnar parse share the attrs dict
+    and body of every equal line tail (so do the records of one cache
+    entry after a hit, through the pickle memo).
     """
 
     time: float
@@ -126,7 +129,7 @@ class ParseOutcome(NamedTuple):
 _BLANK = ParseOutcome(None, "blank")
 _MALFORMED = ParseOutcome(None, "malformed")
 
-#: line-table value of a tail with no ``": "`` (the line is malformed)
+#: classification of a line tail with no ``": "`` (the line is malformed)
 _NO_TAIL = ()
 
 #: shared attrs sentinel for chatter records -- most production lines are
@@ -138,39 +141,19 @@ _EMPTY_ATTRS: dict[str, str] = {}
 _STAMP_HEAD = re.compile(
     r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}$")
 
-
-class LineTable:
-    """What one file's parse has already classified, shared from the parse on.
-
-    Log files repeat whole messages: over the generated stores a third
-    of all lines repeat a ``daemon: body`` tail seen earlier in the same
-    file (console 51-61 %, controller 68-72 %, ERD 35-76 %, scheduler
-    ~1 %).  :meth:`LineParser.parse_ex` given a table classifies each
-    distinct tail once:
-
-    * ``tails`` maps a tail (the line after its component) to its
-      ``(source, daemon, event, attrs, severity, body)``, or to
-      ``_NO_TAIL`` when it has no ``": "``; a repeated tail skips the
-      ``": "`` partition, the dispatcher lookup and the regex match, and
-      its record reuses the table's attrs dict and body;
-    * ``share`` folds equal component, daemon and attrs key and value
-      strings onto their first occurrence, so each is one object (keys
-      too: a key can equal a component or daemon, as ``mc`` does in the
-      ``bgq-ras`` stores).
-
-    Stamps, skew repair and the mojibake scan stay per line.  A table
-    lives for one file's parse and dies with it: no process holds a
-    growing table.  Only the parse cache's parses take one (their
-    records are pickled, where sharing shrinks the entry); an uncached
-    read of a file with few repeated tails would pay the bookkeeping
-    for nothing.
-    """
-
-    __slots__ = ("tails", "share")
-
-    def __init__(self) -> None:
-        self.tails: dict[str, tuple] = {}
-        self.share = {}.setdefault
+#: the stamp shape :meth:`LineParser.stamp_column` parses in numpy ("0"
+#: stands for any ASCII digit), padded by one empty code point
+_STAMP_FORM = "0000-00-00T00:00:00.000000"
+_STAMP_WIDTH = len(_STAMP_FORM) + 1
+_STAMP_DTYPE = f"U{_STAMP_WIDTH}"
+_ZERO = ord("0")
+#: per-column code point bounds of that shape
+_STAMP_LO = np.array([ord(c) for c in _STAMP_FORM] + [0], dtype=np.uint32)
+_STAMP_HI = np.array([ord("9") if c == "0" else ord(c) for c in _STAMP_FORM]
+                     + [0], dtype=np.uint32)
+#: microseconds from the epoch past which the int64 to float64 cast
+#: stops being exact
+_EXACT_US = 2 ** 53
 
 
 class LineParser:
@@ -210,6 +193,9 @@ class LineParser:
         #: share a second, and a long-lived parser must not grow)
         self._prefix: Optional[str] = None
         self._prefix_us = 0
+        #: the epoch in numpy's integer microseconds (stamp_column)
+        self._epoch_us = np.datetime64(self.clock._epoch_naive, "us") \
+            .astype(np.int64)
 
     def reset(self, last_time: Optional[float] = None) -> None:
         """Forget skew state (call at each file boundary).
@@ -284,12 +270,7 @@ class LineParser:
             time, self._daemon_sources.get(daemon, self._default_source),
             component, daemon, None, _EMPTY_ATTRS, Severity.INFO, body)
 
-    def parse_ex(
-        self,
-        line: str,
-        scan_mojibake: bool = True,
-        table: Optional[LineTable] = None,
-    ) -> ParseOutcome:
+    def parse_ex(self, line: str, scan_mojibake: bool = True) -> ParseOutcome:
         """Hardened parse: classify and, where possible, repair a line.
 
         Repairs (all counted as ``recovered``):
@@ -304,12 +285,13 @@ class LineParser:
           characters yet still parsed.
 
         ``scan_mojibake=False`` skips the per-line replacement-character
-        scan; the file reader passes it when one whole-file scan already
-        proved the file clean (the overwhelmingly common case).
+        scan; the caller passes it when one scan of a larger buffer
+        already proved the line clean.
 
-        ``table`` classifies the line's tail through a :class:`LineTable`
-        (once per distinct tail of the file); the outcome equals the
-        tableless one, only with strings, attrs and body shared.
+        The tailer parses line by line through here; the batch readers
+        parse whole files as columns
+        (:func:`repro.logs.store._parse_log_text`), which must agree with
+        this method line for line.
         """
         # a trailing "\r" is the rest of a CRLF ending, not the body
         line = line.rstrip("\r\n")
@@ -320,17 +302,9 @@ class LineParser:
         if len(parts) < 3:
             return _MALFORMED
         stamp, component, rest = parts
-        if table is None:
-            daemon, sep, body = rest.partition(": ")
-            if not sep:
-                return _MALFORMED
-            tail = None
-        else:
-            tail = table.tails.get(rest)
-            if tail is None:
-                tail = table.tails[rest] = self._classify(rest, table.share)
-            if tail is _NO_TAIL:
-                return _MALFORMED
+        daemon, sep, body = rest.partition(": ")
+        if not sep:
+            return _MALFORMED
         recovered = scan_mojibake and _REPLACEMENT in line
         last = self._last_time
         try:
@@ -345,12 +319,6 @@ class LineParser:
         elif time < last - self.max_skew:
             time = last
             recovered = True
-        if tail is not None:
-            source, daemon, event, attrs, severity, body = tail
-            record = ParsedRecord(time, source,
-                                  table.share(component, component),
-                                  daemon, event, attrs, severity, body)
-            return ParseOutcome(record, "parsed", recovered)
         # classify as in parse()
         dispatcher = self._dispatchers.get(daemon)
         if dispatcher is not None:
@@ -365,24 +333,77 @@ class LineParser:
             component, daemon, None, _EMPTY_ATTRS, Severity.INFO, body)
         return ParseOutcome(record, "parsed", recovered)
 
-    def _classify(self, rest: str, share) -> tuple:
-        """One line tail's :class:`LineTable` value (see there)."""
+    def classify(self, rest: str, share) -> tuple:
+        """One line tail's ``(source, daemon, event, attrs, severity, body)``.
+
+        ``rest`` is a line after its component; a tail with no ``": "``
+        classifies as ``()`` (the line is malformed).  ``share`` is a
+        ``dict.setdefault`` folding equal daemon and attrs key and value
+        strings onto one object.  The columnar parse classifies each
+        distinct tail of a file once and hands every repeat this tuple,
+        so records with equal tails hold one attrs dict and one body.
+        """
         daemon, sep, body = rest.partition(": ")
         if not sep:
             return _NO_TAIL
         daemon = share(daemon, daemon)
         dispatcher = self._dispatchers.get(daemon)
         if dispatcher is not None:
-            hit = dispatcher.match(body)
+            hit = dispatcher.match(body, share)
             if hit is not None:
                 spec, attrs = hit
-                if attrs:
-                    attrs = {share(k, k): share(v, v)
-                             for k, v in attrs.items()}
                 return (spec.source, daemon, spec.key, attrs,
                         spec.severity, body)
         return (self._daemon_sources.get(daemon, self._default_source),
                 daemon, None, _EMPTY_ATTRS, Severity.INFO, body)
+
+    def stamp_column(self, stamps: Sequence[str]) -> tuple[np.ndarray,
+                                                            np.ndarray]:
+        """Simulation seconds of a column of stamps, and which parsed.
+
+        Returns ``(seconds, good)``: ``float64`` seconds and a ``bool``
+        mask, ``False`` where the stamp is torn (its seconds are then
+        meaningless).  Every value is bit-identical to
+        :meth:`_stamp_seconds`:
+
+        * a stamp of the exact ``YYYY-MM-DDTHH:MM:SS.ffffff`` ASCII
+          shape is parsed by numpy (``datetime64[us]``), the epoch
+          subtracted in integer microseconds and the result divided by
+          ``1_000_000`` once -- the scalar formula, exact while the
+          microseconds stay below 2**53;
+        * every other stamp takes :meth:`_stamp_seconds`: another shape,
+          year ``0000`` (numpy accepts it, ``fromisoformat`` does not),
+          microseconds at or past 2**53, and the whole column's vector
+          rows when numpy refuses one of them (hour 24, second 60, a
+          29 February outside a leap year, ...).
+        """
+        count = len(stamps)
+        seconds = np.zeros(count)
+        good = np.ones(count, dtype=bool)
+        # one column wider than the shape: a longer stamp keeps a
+        # non-zero code point there instead of being silently truncated
+        text = np.array(stamps, dtype=_STAMP_DTYPE)
+        codes = text.view(np.uint32).reshape(count, _STAMP_WIDTH)
+        vector = ((codes >= _STAMP_LO) & (codes <= _STAMP_HI)).all(axis=1)
+        vector &= (codes[:, :4] != _ZERO).any(axis=1)
+        rows = np.flatnonzero(vector)
+        try:
+            parsed = (text if len(rows) == count else text[rows]) \
+                .astype("datetime64[us]").view(np.int64)
+        except ValueError:
+            vector[:] = False
+        else:
+            micros = parsed - self._epoch_us
+            exact = np.abs(micros) < _EXACT_US
+            seconds[rows] = micros / 1_000_000
+            vector[rows[~exact]] = False
+        stamp_seconds = self._stamp_seconds
+        for row in np.flatnonzero(~vector).tolist():
+            try:
+                seconds[row] = stamp_seconds(stamps[row])
+            except ValueError:
+                good[row] = False
+        return seconds, good
 
     def parse_many(self, lines: Iterable[str]) -> Iterator[ParsedRecord]:
         """Parse an iterable of lines, skipping unparseable ones."""
@@ -390,6 +411,20 @@ class LineParser:
             rec = self.parse(line)
             if rec is not None:
                 yield rec
+
+
+#: a record list as eight columns, one list per :class:`ParsedRecord`
+#: field (the parse cache's entry format)
+RecordColumns = tuple[list, list, list, list, list, list, list, list]
+
+
+def build_records(columns: RecordColumns) -> list[ParsedRecord]:
+    """Records from eight columns, one per :class:`ParsedRecord` field.
+
+    One C-level ``map``: the columnar parse and a parse-cache hit both
+    build their records through here.
+    """
+    return list(map(ParsedRecord, *columns))
 
 
 def parse_line(

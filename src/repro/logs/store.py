@@ -26,10 +26,12 @@ import os
 import time as _time
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Container, Iterable, Iterator, Optional
+
+import numpy as np
 
 from repro.logs.catalogs import (
     DEFAULT_PLATFORM,
@@ -40,10 +42,12 @@ from repro.logs.catalogs import (
 )
 from repro.logs.health import ErrorPolicy, IngestionError, IngestionHealth, SourceHealth
 from repro.logs.parsing import (
+    _NO_TAIL,
     REPLACEMENT_CHAR,
     LineParser,
-    LineTable,
     ParsedRecord,
+    RecordColumns,
+    build_records,
 )
 from repro.logs.record import LogBus, LogRecord, LogSource
 from repro.logs.render import render_line
@@ -214,8 +218,9 @@ def parse_log_file(
     if cache is not None:
         return cache.parse(path, parser, policy)
     text, retried = _load_log_text(path)
-    records, health, malformed = _traced_parse(text, parser, path, retried)
-    return apply_policy(records, health, malformed, policy, path)
+    columns, health, malformed = _traced_parse(text, parser, path, retried)
+    return apply_policy(build_records(columns), health, malformed, policy,
+                        path)
 
 
 def apply_policy(
@@ -255,25 +260,23 @@ def _traced_parse(
     retried: int = 0,
     resume_at: Optional[float] = None,
     cache_tag: Optional[str] = None,
-) -> tuple[list[ParsedRecord], SourceHealth, list[str]]:
+) -> tuple[RecordColumns, SourceHealth, list[str]]:
     """The canonical parse of (the new part of) one file's text, traced.
 
     When observability is enabled (:mod:`repro.obs`) every call records
     one ``logs.parse_file`` span carrying the file name plus line/byte
     accounting (and a ``cache`` tag, ``"miss"`` or ``"delta"``, for a
     parse cache's parse), and the ``ingest.*`` counters advance by the
-    canonical accounting.  ``resume_at`` is :func:`_parse_log_text`'s;
-    a parse cache's parse (``cache_tag`` set) takes a line table.
+    canonical accounting.  ``resume_at`` and the returned columns are
+    :func:`_parse_log_text`'s.
     """
-    line_table = cache_tag is not None
     if not OBS.enabled:
-        return _parse_log_text(text, parser, retried, resume_at, line_table)
+        return _parse_log_text(text, parser, retried, resume_at)
     tags = {"file": path.name}
     if cache_tag is not None:
         tags["cache"] = cache_tag
     with OBS.span("logs.parse_file", "ingest", **tags) as span:
-        result = _parse_log_text(text, parser, retried, resume_at,
-                                 line_table)
+        result = _parse_log_text(text, parser, retried, resume_at)
         health = result[1]
         span.add(records=health.parsed, read=health.read,
                  quarantined=health.quarantined, recovered=health.recovered)
@@ -337,52 +340,60 @@ def _load_log_text(path: Path) -> tuple[str, int]:
     )
 
 
+#: lines per block of the columnar parse: a block's split, stamp and
+#: classification columns are transient, so peak memory follows the
+#: block, not the file
+_PARSE_BLOCK = 4096
+
+
 def _parse_log_text(
     text: str,
     parser: LineParser,
     retried: int = 0,
     resume_at: Optional[float] = None,
-    line_table: bool = False,
-) -> tuple[list[ParsedRecord], SourceHealth, list[str]]:
+) -> tuple[RecordColumns, SourceHealth, list[str]]:
     """Parse one file's already-loaded text (the pure half of the parse).
+
+    Returns ``(columns, health, malformed)``: the records as eight
+    columns, one list per :class:`~repro.logs.parsing.ParsedRecord`
+    field (:func:`~repro.logs.parsing.build_records` makes the records),
+    the line accounting, and the malformed lines raw, in line order,
+    all counted ``quarantined``.
 
     Factored out of the on-disk path so the parse cache can hash and
     parse the *same* bytes -- no read/parse race can store an entry
     under a stale key.
 
-    The returned records are guaranteed time-sorted.  Writers emit in
-    order, so this is normally a free pass over an already-ordered list;
-    only a file whose stamps carry sub-``max_skew`` backwards jitter
-    (small skew is deliberately left for downstream sorting) pays one
-    stable sort.  The guarantee is what lets the stream assemblers
-    merge sorted runs instead of re-sorting whole sources.
+    The parse is columnar, over blocks of :data:`_PARSE_BLOCK` lines:
+    each line is split once into stamp, component and tail columns;
+    each distinct tail of the file is classified once
+    (:meth:`~repro.logs.parsing.LineParser.classify`), so records with
+    equal tails share one attrs dict and one body, and equal component,
+    daemon and attrs strings are one object; the stamps are converted
+    in numpy (:meth:`~repro.logs.parsing.LineParser.stamp_column`), and
+    the skew clamp and torn-stamp repair read a running maximum of the
+    good stamps carried from block to block.  The result equals
+    :meth:`~repro.logs.parsing.LineParser.parse_ex` applied line by
+    line, field by field.
+
+    The returned columns are guaranteed time-sorted.  Writers emit in
+    order, so this is normally a free check; only a file whose stamps
+    carry sub-``max_skew`` backwards jitter (small skew is deliberately
+    left for downstream sorting) pays one stable permutation.  The
+    guarantee is what lets the stream assemblers merge sorted runs
+    instead of re-sorting whole sources.
 
     ``resume_at`` parses the rest of a file whose earlier lines are
-    already parsed: ``text`` starts after a ``"\\n"`` and the parser's
-    skew state resumes at the latest stamp of those lines (``None``:
-    they held no record), so clamping and stamp repair match one pass
-    over the whole file.  The parse cache uses it for appended files.
+    already parsed: ``text`` starts after a ``"\\n"`` and the skew
+    state resumes at the latest stamp of those lines (``None``: they
+    held no record), so clamping and stamp repair match one pass over
+    the whole file.  The parse cache uses it for appended files.
 
     Lines end at ``"\\n"`` only, never at the other breaks
     ``str.splitlines`` knows (``"\\r"``, ``"\\x0c"``, ``"\\x85"``,
     ...): the tailer splits raw bytes the same way, so a batch read and
     a watch of one file see the same lines.
-
-    ``line_table`` parses through one :class:`~repro.logs.parsing.LineTable`
-    for the whole text: each distinct line tail is classified once and
-    equal tails share their record's attrs and body.  The result equals
-    the tableless parse field by field.
     """
-    records: list[ParsedRecord] = []
-    malformed: list[str] = []
-    # local counters: attribute increments per line would dominate
-    # the hot loop (measured in benchmarks/bench_tolerant_parse.py)
-    read = parsed = recovered = ignored = 0
-    last_time = float("-inf")
-    in_order = True
-    parser.reset(resume_at)
-    parse_ex = parser.parse_ex
-    append = records.append
     # a file whose last line has no newline is a mid-write snapshot,
     # not corruption: hold the torn tail back (it is neither read nor
     # parsed nor quarantined -- the writer will finish it) and flag it
@@ -393,34 +404,123 @@ def _parse_log_text(
         if text[cut:].strip():
             partial_tail = 1
         text = text[:cut]
-    scan = REPLACEMENT_CHAR in text
-    table = LineTable() if line_table else None
     lines = text.split("\n")
     lines.pop()  # the empty remainder after the final "\n"
-    for line in lines:
-        read += 1
-        record, status, repaired = parse_ex(line, scan, table)
-        if record is not None:
-            parsed += 1
-            recovered += repaired
-            append(record)
-            t = record.time
-            if t < last_time:
-                in_order = False
-            else:
-                last_time = t
-        elif status == "blank":
-            ignored += 1
-        else:
-            malformed.append(line)
-    if not in_order:
-        records.sort(key=_TIME_KEY)
+    parse = _ColumnarParse(parser, resume_at, REPLACEMENT_CHAR in text,
+                           "\r" in text)
+    for start in range(0, len(lines), _PARSE_BLOCK):
+        parse.block(lines[start:start + _PARSE_BLOCK])
+    columns = parse.columns if parse.in_order else _time_sorted(parse.columns)
     health = SourceHealth(
-        read=read, parsed=parsed, quarantined=len(malformed),
-        ignored=ignored, recovered=recovered, files=1,
-        retried_files=retried, partial_tail=partial_tail,
+        read=len(lines), parsed=len(columns[0]),
+        quarantined=len(parse.malformed), ignored=parse.ignored,
+        recovered=parse.recovered, files=1, retried_files=retried,
+        partial_tail=partial_tail,
     )
-    return records, health, malformed
+    return columns, health, parse.malformed
+
+
+def _time_sorted(columns: RecordColumns) -> RecordColumns:
+    """Every column reordered by one stable sort of the times."""
+    order = np.argsort(columns[0], kind="stable").tolist()
+    return tuple([column[i] for i in order] for column in columns)
+
+
+class _ColumnarParse:
+    """The state :func:`_parse_log_text` carries from block to block."""
+
+    def __init__(self, parser: LineParser, resume_at: Optional[float],
+                 scan: bool, crlf: bool) -> None:
+        self.parser = parser
+        self.scan = scan
+        self.crlf = crlf
+        #: the running maximum of good stamps (-inf: none yet)
+        self.last = -np.inf if resume_at is None else resume_at
+        #: the last record time of the blocks so far
+        self.tail_time = -np.inf
+        self.in_order = True
+        self.columns: RecordColumns = ([], [], [], [], [], [], [], [])
+        self.malformed: list[str] = []
+        self.ignored = 0
+        self.recovered = 0
+        #: each distinct tail's classification (LineParser.classify)
+        self.tails: dict[str, tuple] = {}
+        self.share = {}.setdefault
+
+    def block(self, raw: list[str]) -> None:
+        """Parse one block of lines, appending to the columns."""
+        lines = list(map(str.rstrip, raw, repeat("\r\n"))) if self.crlf \
+            else raw
+        parts = list(map(str.split, lines, repeat(" "), repeat(2)))
+        rows = range(len(raw))
+        # rows left out of the columns: blank (ignored) or malformed
+        dropped: list[int] = []
+        if min(map(len, parts)) < 3:
+            dropped = [i for i, p in enumerate(parts) if len(p) < 3]
+            rows = [i for i, p in enumerate(parts) if len(p) == 3]
+            parts = [parts[i] for i in rows]
+        if not parts:
+            self._drop(raw, lines, dropped)
+            return
+        stamps, components, rests = zip(*parts)
+        tails = self.tails
+        for rest in set(rests).difference(tails):
+            tails[rest] = self.parser.classify(rest, self.share)
+        classes = list(map(tails.__getitem__, rests))
+        seconds, good = self.parser.stamp_column(stamps)
+        if _NO_TAIL in classes:
+            # a line without ": " is malformed whatever its stamp says:
+            # its stamp neither counts nor makes a record
+            tailed = np.fromiter((c is not _NO_TAIL for c in classes), bool,
+                                 len(classes))
+            good &= tailed
+        else:
+            tailed = True
+        # the latest good stamp before each row, seeded by earlier blocks
+        before = np.empty(len(seconds))
+        before[0] = self.last
+        before[1:] = np.where(good[:-1], seconds[:-1], -np.inf)
+        np.maximum.accumulate(before, out=before)
+        self.last = max(before[-1], seconds[-1]) if good[-1] else before[-1]
+        clamped = good & (seconds < before - self.parser.max_skew)
+        times = np.where(good & ~clamped, seconds, before)
+        repaired = clamped | ~good
+        if self.scan:
+            repaired |= np.fromiter((REPLACEMENT_CHAR in raw[i] for i in rows),
+                                    bool, len(rows))
+        # a torn stamp with no good stamp before it is malformed too
+        keep = tailed & (good | (before != -np.inf))
+        if not keep.all():
+            dropped += [rows[j] for j in np.flatnonzero(~keep).tolist()]
+            kept = np.flatnonzero(keep).tolist()
+            components = [components[j] for j in kept]
+            classes = [classes[j] for j in kept]
+            times = times[kept]
+            repaired = repaired[kept]
+        self._drop(raw, lines, dropped)
+        if not len(times):
+            return
+        self.recovered += int(np.count_nonzero(repaired))
+        if times[0] < self.tail_time or (times[1:] < times[:-1]).any():
+            self.in_order = False
+        self.tail_time = times[-1]
+        time, source, component, daemon, event, attrs, severity, body = \
+            self.columns
+        time += times.tolist()
+        component += map(self.share, components, components)
+        for column, values in zip((source, daemon, event, attrs, severity,
+                                   body), zip(*classes)):
+            column += values
+
+    def _drop(self, raw: list[str], lines: list[str],
+              dropped: list[int]) -> None:
+        """Account the block's rows that made no record, in line order."""
+        for i in sorted(dropped):
+            line = lines[i]
+            if not line or line.isspace():
+                self.ignored += 1
+            else:
+                self.malformed.append(raw[i])
 
 
 class LogStore:

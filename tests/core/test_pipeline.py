@@ -5,6 +5,8 @@ written log files, and its conclusions are validated against the
 simulator's private ground truth.
 """
 
+import threading
+
 import pytest
 
 from repro.core.failure_detection import FailureMode
@@ -245,3 +247,86 @@ class TestDerivedTables:
         monkeypatch.setattr(pipeline_mod, "parse_jobs", broken)
         with pytest.raises(RuntimeError, match="job table unavailable"):
             diag.run()
+
+    def test_pipelines_build_one_table_concurrently(self, monkeypatch):
+        import repro.core.pipeline as pipeline_mod
+
+        first = HolisticDiagnosis([], [], [])
+        second = HolisticDiagnosis([], [], [])
+        entered = threading.Event()
+        released = threading.Event()
+        waited = []
+
+        def parse_jobs(scheduler):
+            # the first pipeline's build waits for the second's, which
+            # only a build not held back by the first can reach
+            if scheduler is first.scheduler:
+                entered.set()
+                waited.append(released.wait(timeout=5))
+            else:
+                released.set()
+            return {}
+
+        monkeypatch.setattr(pipeline_mod, "parse_jobs", parse_jobs)
+        reader = threading.Thread(target=lambda: first.jobs)
+        reader.start()
+        assert entered.wait(timeout=5)
+        other = threading.Thread(target=lambda: second.jobs)
+        other.start()
+        other.join(timeout=10)
+        reader.join(timeout=10)
+        assert waited == [True]
+        assert first.jobs == second.jobs == {}
+
+
+class TestAnalysisMemo:
+    """``run()`` shares its real results with ``compute()``."""
+
+    @staticmethod
+    def spy_infer_all(monkeypatch) -> list:
+        from repro.core.rootcause import RootCauseEngine
+
+        calls = []
+        real = RootCauseEngine.infer_all
+
+        def infer_all(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(RootCauseEngine, "infer_all", infer_all)
+        return calls
+
+    def test_compute_after_run_infers_root_causes_once(
+            self, diagnosed_scenario, monkeypatch):
+        _, _, store = diagnosed_scenario
+        calls = self.spy_infer_all(monkeypatch)
+        diag = HolisticDiagnosis.from_store(store)
+        report = diag.run()
+        assert diag.compute("root_causes") is report.root_causes
+        assert len(calls) == 1
+
+    def test_neutral_results_stay_out_of_the_memo(self, diagnosed_scenario,
+                                                  monkeypatch):
+        import dataclasses
+
+        from repro.core.analysis import REGISTRY
+
+        _, _, store = diagnosed_scenario
+        diag = HolisticDiagnosis.from_store(store)
+        diag.run(only=["weekly_inter_failure"])
+        assert "weekly_inter_failure" in diag._analysis_cache
+        assert "root_causes" not in diag._analysis_cache
+        # a failed analysis, and one fed its neutral result, leave no entry
+
+        def boom(*args):
+            raise RuntimeError("dominance unavailable")
+
+        monkeypatch.setitem(REGISTRY._specs, "dominance", dataclasses.replace(
+            REGISTRY.get("dominance"), compute=boom))
+        broken = HolisticDiagnosis.from_store(store)
+        report = broken.run()
+        assert set(report.analysis_errors) == {"dominance"}
+        assert "dominance_summary" not in broken._analysis_cache
+        assert "root_causes" in broken._analysis_cache
+        with pytest.raises(RuntimeError, match="dominance unavailable"):
+            broken.compute("dominance_summary")

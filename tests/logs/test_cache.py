@@ -17,6 +17,7 @@ from collections import Counter
 import pytest
 
 import repro.logs.cache as cache_mod
+import repro.logs.store as store_mod
 from repro.logs.cache import CACHE_MAGIC, ParseCache, catalog_fingerprint
 from repro.logs.health import ErrorPolicy, IngestionError, IngestionHealth
 from repro.logs.parsing import LineParser, ParsedRecord
@@ -401,8 +402,6 @@ class TestDeltaOnlyIngest:
     @staticmethod
     def spy_parses(monkeypatch):
         """Record the path of every file actually parsed from here on."""
-        import repro.logs.store as store_mod
-
         parsed = []
         real = store_mod._traced_parse
 
@@ -485,8 +484,6 @@ class TestAppendDelta:
     @staticmethod
     def spy_texts(monkeypatch):
         """Record the text of every parse from here on."""
-        import repro.logs.store as store_mod
-
         texts = []
         real = store_mod._parse_log_text
 
@@ -693,14 +690,15 @@ def copied(value):
     return value
 
 
-def unshared_pack(records):
-    """The entry columns as packed before equal strings were shared.
+def unshared(parsed):
+    """A parse's columns as packed before equal strings were shared.
 
-    The records arrive shared from the parse, so every string and
-    non-empty attrs dict is copied per record.
+    The columns arrive shared from the parse, so every string and
+    non-empty attrs dict is copied per row.
     """
-    return tuple([copied(getattr(r, name)) for r in records]
-                 for name in ParsedRecord.__dataclass_fields__)
+    columns, health, malformed = parsed
+    return (tuple([copied(value) for value in column] for column in columns),
+            health, malformed)
 
 
 def outcome(store, policy):
@@ -737,8 +735,11 @@ class TestSharedStrings:
         store = LogStore(root)
         cache = ParseCache(tmp_path / "pc")
         cached = store.with_cache(cache)
+        real = store_mod._parse_log_text
         with monkeypatch.context() as patch:
-            patch.setattr(cache_mod, "_pack_records", unshared_pack)
+            patch.setattr(store_mod, "_parse_log_text",
+                          lambda *args, **kwargs: unshared(
+                              real(*args, **kwargs)))
             cached.read_all()
         entries = [cache_mod._read_entry(path)
                    for path in cache.entry_files()]
@@ -748,6 +749,28 @@ class TestSharedStrings:
             assert outcome(cached, policy) == outcome(store, policy)
         # every read was a hit on an unshared entry
         assert (cache.misses, cache.invalidated) == (misses, 0)
+
+    def test_entry_packed_from_records_hits(self, tmp_path):
+        # the entry layout of a cache filled before the parse went
+        # columnar: eight lists packed field by field from the records
+        store = small_store(tmp_path / "logs", malformed=2)
+        path = store.root / "p0/console.log"
+        parser = LineParser(store.manifest().clock())
+        records, health, malformed = parse_log_file(
+            path, parser, ErrorPolicy.QUARANTINE)
+        cache = ParseCache(tmp_path / "pc")
+        content, _ = cache_mod._content_hash(path.read_text())
+        cache._store_entry(
+            cache.entry_path(content, cache._env_fingerprint(parser)),
+            {"columns": tuple([getattr(r, name) for r in records]
+                              for name in ParsedRecord.__dataclass_fields__),
+             "health": cache_mod._canonical_health_dict(health),
+             "malformed": malformed})
+        hit = cache.parse(path, parser, ErrorPolicy.QUARANTINE)
+        assert (cache.hits, cache.misses) == (1, 0)
+        assert hit[0] == records
+        assert hit[1].as_dict() == health.as_dict()
+        assert hit[2] == malformed
 
     def test_delta_written_entry_loads_under_every_policy(
             self, diagnosed_scenario, tmp_path):

@@ -1,37 +1,54 @@
-"""Property test: a parse through a line table equals the tableless parse.
+"""Differential test: the columnar file parse equals the per-line parse.
 
-The parse cache parses each file through a
-:class:`~repro.logs.parsing.LineTable`, which classifies every distinct
-``daemon: body`` tail once and hands each repeat the same attrs dict and
-body.  The uncached reader and the tailer parse without one.  These
-tests pin the two to the same records, health and malformed lines on
-generated files drawn from small pools of tails (so tails repeat), and
-check the sharing the table exists for: records with equal tails hold
-one attrs dict and one body, and a fresh cache entry holds one object
-per distinct component, daemon and attrs key or value.
+The batch readers and the parse cache parse a file as columns
+(:func:`repro.logs.store._parse_log_text`): each line is split once,
+each distinct ``daemon: body`` tail of the file is classified once
+through a per-file table of tails (so records with equal tails share one
+attrs dict and one body), stamps are converted in numpy with a scalar
+fallback, and the skew clamp and torn-stamp repair read a running
+maximum carried across blocks of lines.  The tailer parses line by line
+through :meth:`~repro.logs.parsing.LineParser.parse_ex`.  These tests
+pin the two to the same records (field by field, times by
+``float.hex``), health and malformed lines on generated files drawn from
+small pools of tails, with the block size cut to three lines so block
+boundaries fall between any two kinds of line, and check the sharing
+the table of tails exists for.
 
 The generated files mix every line shape the hardened parser knows:
 blank and whitespace-only lines, lines with fewer than two spaces or
 no ``": "``, torn stamps before and after the first good one, backward
 jumps inside and beyond ``max_skew``, CRLF endings, the replacement
 character, unknown daemons, a pattern whose optional groups are
-absent, and both builtin catalogs.
+absent, both builtin catalogs, and the stamps the numpy path must hand
+to the scalar one: year ``0000``, microseconds past 2**53, hour 24,
+second 60, 29 February outside a leap year, whole-second stamps,
+seven-digit fractions and non-ASCII digits.
 """
 
 from __future__ import annotations
 
 import re
 import tempfile
+from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.logs.cache as cache_mod
+import repro.logs.store as store_mod
 from repro.logs.cache import ParseCache
 from repro.logs.catalog import EventSpec
 from repro.logs.catalogs import PlatformCatalog, compile_dispatchers, get_catalog
-from repro.logs.parsing import DEFAULT_MAX_SKEW, REPLACEMENT_CHAR, LineParser
+from repro.logs.parsing import (
+    DEFAULT_MAX_SKEW,
+    REPLACEMENT_CHAR,
+    LineParser,
+    ParsedRecord,
+    build_records,
+)
 from repro.logs.record import LogSource, Severity
 from repro.logs.store import _parse_log_text
 from repro.simul.clock import SimClock
@@ -106,6 +123,20 @@ STEPS = st.sampled_from([0.0, 0.25, 1.0, 7.5, 3600.0, -0.5, -60.0,
 TORN_STAMPS = ["T01:0####0000", "2015-01-05T01:00", "garbage",
                "2015-13-45T01:00:00.000000"]
 
+#: stamps the numpy path must leave to the scalar one: year 0000 (numpy
+#: accepts it), microseconds past 2**53 on both sides of the epoch,
+#: values numpy refuses for the whole block (hour 24, second 60, 29
+#: February of 2015), a leap day, a seven-digit and a five-digit
+#: fraction, a bare "." and non-ASCII digits (fullwidth ones parse)
+EDGE_STAMPS = ["0000-01-05T01:00:00.000000", "2400-01-05T01:00:00.123457",
+               "1600-01-05T01:00:00.654321", "2015-01-05T24:00:00.000000",
+               "2015-01-05T23:59:60.000000", "2015-02-29T00:00:00.000000",
+               "2016-02-29T00:00:00.000001", "2015-01-05T01:00:00.1234567",
+               "2015-01-05T01:00:00.12345", "2015-01-05T01:00:00.",
+               "\u0662\u0660\u0661\u0665-01-05T01:00:00.000000",
+               "\uff12\uff10\uff11\uff15-01-05T01:00:00.000000",
+               "2015-01-05T01:00:00.\u0663"]
+
 #: lines that never reach the stamp: blank, whitespace-only, fewer than
 #: two spaces
 ODD_LINES = ["", "   ", "\t", "justoneword", "two words"]
@@ -120,13 +151,18 @@ def log_lines(draw, catalog_name: str) -> list[str]:
     time = draw(st.sampled_from([0.0, 3600.0, 5 * 86400.0]))
     for _ in range(draw(st.integers(min_value=0, max_value=40))):
         kind = draw(st.sampled_from(
-            ["line"] * 6 + ["odd", "torn", "unique", "mojibake", "nosep"]))
+            ["line"] * 6 + ["odd", "torn", "edge", "unique", "mojibake",
+                            "nosep"]))
         if kind == "odd":
             lines.append(draw(st.sampled_from(ODD_LINES)))
             continue
         time = max(0.0, time + draw(STEPS))
-        stamp = (draw(st.sampled_from(TORN_STAMPS)) if kind == "torn"
-                 else CLOCK.stamp(time))
+        if kind == "torn":
+            stamp = draw(st.sampled_from(TORN_STAMPS))
+        elif kind == "edge":
+            stamp = draw(st.sampled_from(EDGE_STAMPS))
+        else:
+            stamp = CLOCK.stamp(time)
         if draw(st.booleans()):
             stamp = stamp[:19]  # a whole-second stamp
         tail = draw(st.sampled_from(NO_SEP_TAILS if kind == "nosep"
@@ -154,10 +190,57 @@ def log_files(draw):
     return name, text, resume_at
 
 
-def parse(name: str, text: str, resume_at=None, line_table=False):
+def per_line_parse(text: str, parser: LineParser, resume_at=None):
+    """The reference: one :meth:`LineParser.parse_ex` call per line.
+
+    The batch parse's loop before it went columnar: the torn tail held
+    back, the mojibake scan once per file, blank lines ignored,
+    malformed lines kept raw, one stable sort by time.
+    """
+    records, malformed = [], []
+    read = parsed = recovered = ignored = 0
+    parser.reset(resume_at)
+    if text and not text.endswith("\n"):
+        text = text[:text.rfind("\n") + 1]
+    scan = REPLACEMENT_CHAR in text
+    lines = text.split("\n")
+    lines.pop()
+    for line in lines:
+        read += 1
+        record, status, repaired = parser.parse_ex(line, scan)
+        if record is not None:
+            parsed += 1
+            recovered += repaired
+            records.append(record)
+        elif status == "blank":
+            ignored += 1
+        else:
+            malformed.append(line)
+    records.sort(key=attrgetter("time"))
+    health = {"read": read, "parsed": parsed, "quarantined": len(malformed),
+              "ignored": ignored, "recovered": recovered}
+    return records, health, malformed
+
+
+def parse(name: str, text: str, resume_at=None):
+    """The columnar parse's records, health and malformed lines."""
     parser = LineParser(CLOCK, catalog=CATALOGS[name])
-    return _parse_log_text(text, parser, resume_at=resume_at,
-                           line_table=line_table)
+    columns, health, malformed = store_mod._parse_log_text(
+        text, parser, resume_at=resume_at)
+    return build_records(columns), health, malformed
+
+
+FIELDS = list(ParsedRecord.__dataclass_fields__)
+
+
+def assert_same_records(records, want) -> None:
+    """Field by field, times by their exact bits."""
+    assert len(records) == len(want)
+    for got, ref in zip(records, want):
+        assert type(got.time) is float
+        assert got.time.hex() == ref.time.hex()
+        for name in FIELDS[1:]:
+            assert getattr(got, name) == getattr(ref, name), name
 
 
 def shared_strings(records) -> list[str]:
@@ -183,16 +266,18 @@ class TestLineTable:
     def test_equals_tableless_parse(self, case):
         name, text, resume_at = case
         for resume in (None, resume_at):
-            plain = parse(name, text, resume)
-            tabled = parse(name, text, resume, line_table=True)
-            records, health, malformed = tabled
-            assert records == plain[0]
-            assert [type(r.time) for r in records] == \
-                [type(r.time) for r in plain[0]]
-            assert health.as_dict() == plain[1].as_dict()
-            assert malformed == plain[2]
-            assert_tails_shared(records)
-            assert most_copies(shared_strings(records)) <= 1
+            want, health, malformed = per_line_parse(
+                text, LineParser(CLOCK, catalog=CATALOGS[name]), resume)
+            for block in (3, store_mod._PARSE_BLOCK):
+                with mock.patch.object(store_mod, "_PARSE_BLOCK", block):
+                    records, got_health, got_malformed = parse(
+                        name, text, resume)
+                assert_same_records(records, want)
+                got = got_health.as_dict()
+                assert {k: got[k] for k in health} == health
+                assert got_malformed == malformed
+                assert_tails_shared(records)
+                assert most_copies(shared_strings(records)) <= 1
 
     @given(case=log_files())
     @settings(max_examples=60, deadline=None)
@@ -220,8 +305,7 @@ class TestLineTable:
                  for t, component in [(1.0, "c0-0c0s0n0"),
                                       (2.0, "c0-0c0s0n1"),
                                       (3.0, "c0-0c0s0n0")]]
-        records, health, _ = parse("cray-xc", "\n".join(lines) + "\n",
-                                   line_table=True)
+        records, health, _ = parse("cray-xc", "\n".join(lines) + "\n")
         assert health.parsed == 3
         assert records[0].attrs == {"count": "1", "bank": "4",
                                     "status": "ff"}
@@ -230,6 +314,27 @@ class TestLineTable:
         assert records[0].component is records[2].component
         assert [r.component for r in records] == \
             ["c0-0c0s0n0", "c0-0c0s0n1", "c0-0c0s0n0"]
+
+    def test_stamp_column_equals_scalar_stamps(self):
+        # an epoch in year 1 puts year 0000 well inside 2**53 microseconds
+        early = SimClock(epoch=datetime(1, 1, 1, tzinfo=timezone.utc))
+        good = [CLOCK.stamp(t) for t in (0.0, 3600.25, 86400.0 * 400)]
+        year_zero = ["0000-12-31T23:00:00.000000", early.stamp(7.5)]
+        for clock, stamps in [
+                (CLOCK, [*good, *EDGE_STAMPS, *TORN_STAMPS]),
+                (CLOCK, [stamp[:19] for stamp in good]), (CLOCK, good),
+                (early, [*year_zero, *good])]:
+            parser = LineParser(clock)
+            seconds, parsed = parser.stamp_column(stamps)
+            for stamp, value, ok in zip(stamps, seconds.tolist(),
+                                        parsed.tolist()):
+                try:
+                    want = LineParser(clock)._stamp_seconds(stamp)
+                except ValueError:
+                    assert not ok, stamp
+                else:
+                    assert ok, stamp
+                    assert value.hex() == want.hex(), stamp
 
     def test_attrs_keys_are_one_object_across_specs(self):
         from repro.logs.catalog import DISPATCHERS
